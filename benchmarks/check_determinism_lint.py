@@ -7,8 +7,11 @@ Usage::
 The worker-count-invariance contract (``strip_wall(artifact)`` is
 bit-identical for workers=1 vs N) only holds if the code that produces
 invariant artifacts never consults a nondeterminism source.  This lint
-walks the AST of every module in the invariant core — ``fuzz/``,
-``obs/``, and ``analysis/`` — and fails CI on:
+walks the AST of every module in the invariant core — the campaign and
+its observability (``fuzz/``, ``obs/``, ``analysis/``) and the
+components whose verdicts, reports and observer events feed the
+artifacts (``verifier/``, ``sanitizer/``, ``runtime/``, ``kernel/``,
+``ebpf/``, ``testsuite/``) — and fails CI on:
 
 - ``time.time()`` — wall-clock reads belong in the structurally
   segregated ``wall`` sections; ``time.perf_counter`` /
@@ -44,7 +47,10 @@ import sys
 from pathlib import Path
 
 #: Directories (relative to --root) that must stay deterministic.
-LINTED_DIRS = ("fuzz", "obs", "analysis")
+LINTED_DIRS = (
+    "fuzz", "obs", "analysis",
+    "verifier", "sanitizer", "runtime", "kernel", "ebpf", "testsuite",
+)
 
 #: (relative posix path, rule) -> why the site is allowed.
 ALLOWLIST: dict[tuple[str, str], str] = {

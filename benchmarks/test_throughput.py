@@ -157,77 +157,101 @@ def test_parallel_throughput():
         )
 
 
-def test_invariant_checker_overhead():
-    """VStateChecker cost: disabled mode must be free, enabled is
-    reported.
+def _measure_overhead(flag: str, on_enabled=None) -> dict[str, float]:
+    """Median programs/sec of three modes: ``baseline`` (flags
+    defaulted), ``disabled`` (``flag=False``) and ``enabled``
+    (``flag=True``).
 
-    Disabled is the default; the verifier hot path pays one
-    ``is not None`` test per checkpoint.  Methodology: one **warm-up**
+    Methodology, shared by every disabled-mode gate: one **warm-up**
     campaign per mode first — the first campaigns of a process pay
     one-off costs (coverage-tracer build and attach, cold tnum memo,
     lazy imports) that would otherwise be attributed to whichever mode
-    ran first — then N interleaved rounds (so a slow stretch of the
+    ran first — then three interleaved rounds (so a slow stretch of the
     host penalises all modes equally), scored by the **median** round,
     which a single descheduled outlier cannot drag the way best-of or
     mean-of can.  The earlier best-of-2 scheme produced a nonsensical
-    -11% "overhead" for the disabled flag through exactly that noise.
+    -11% "overhead" for a disabled flag through exactly that noise.
 
-    The baseline run (flags defaulted) and the explicit
-    ``check_invariants=False`` run must agree within
-    ``INVARIANT_OVERHEAD_BUDGET``; the ``check_invariants=True``
-    overhead is recorded in ``BENCH_throughput.json`` for trend
-    tracking but not gated (opt-in diagnostics may cost what they
-    cost — including the verdict cache disabling itself, since a
-    cached hit would skip the very checkpoints the flag asks for).
+    ``on_enabled`` receives the result of every measured (not warm-up)
+    enabled-mode campaign.
     """
     from statistics import median
 
-    from repro.analysis.stats import ThroughputStats
     from repro.fuzz.campaign import Campaign
-
-    def run_pps(**flags) -> float:
-        config = CampaignConfig(
-            tool="bvf", kernel_version="bpf-next", budget=BUDGET,
-            seed=0, **flags
-        )
-        stats = ThroughputStats.from_result(Campaign(config).run())
-        return stats.programs_per_sec
 
     modes = {
         "baseline": {},
-        "disabled": {"check_invariants": False},
-        "enabled": {"check_invariants": True},
+        "disabled": {flag: False},
+        "enabled": {flag: True},
     }
-    for flags in modes.values():  # warm-up, discarded
-        run_pps(**flags)
+
+    def run_pps(mode: str, measured: bool) -> float:
+        config = CampaignConfig(
+            tool="bvf", kernel_version="bpf-next", budget=BUDGET,
+            seed=0, **modes[mode]
+        )
+        result = Campaign(config).run()
+        if measured and mode == "enabled" and on_enabled is not None:
+            on_enabled(result)
+        return ThroughputStats.from_result(result).programs_per_sec
+
+    for mode in modes:  # warm-up, discarded
+        run_pps(mode, measured=False)
     rounds: dict[str, list[float]] = {mode: [] for mode in modes}
     for _ in range(3):
-        for mode, flags in modes.items():
-            rounds[mode].append(run_pps(**flags))
-    samples = {mode: median(values) for mode, values in rounds.items()}
+        for mode in modes:
+            rounds[mode].append(run_pps(mode, measured=True))
+    return {mode: median(values) for mode, values in rounds.items()}
 
+
+def _record_overhead(section: str, title: str, samples: dict[str, float],
+                     budget: float, **extra) -> float:
+    """Write one overhead section into ``BENCH_throughput.json`` and
+    print it; returns the disabled-mode overhead for the gate."""
     disabled_overhead = 1.0 - samples["disabled"] / samples["baseline"]
     enabled_overhead = 1.0 - samples["enabled"] / samples["baseline"]
 
     payload = _load_payload()
-    payload["invariant_checker"] = {
+    payload[section] = {
         "budget": BUDGET,
         "baseline_programs_per_sec": round(samples["baseline"], 2),
         "disabled_programs_per_sec": round(samples["disabled"], 2),
         "enabled_programs_per_sec": round(samples["enabled"], 2),
         "disabled_overhead": round(disabled_overhead, 4),
         "enabled_overhead": round(enabled_overhead, 4),
-        "disabled_overhead_budget": INVARIANT_OVERHEAD_BUDGET,
+        "disabled_overhead_budget": budget,
+        **extra,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print("\n=== VStateChecker overhead (serial) ===")
+    print(f"\n=== {title} (serial) ===")
     for mode in ("baseline", "disabled", "enabled"):
         print(f"{mode:>9}: {samples[mode]:8.1f} programs/sec")
     print(f"disabled overhead: {disabled_overhead:+.1%} "
-          f"(budget {INVARIANT_OVERHEAD_BUDGET:.0%}); "
+          f"(budget {budget:.0%}); "
           f"enabled overhead: {enabled_overhead:+.1%}")
+    return disabled_overhead
 
+
+def test_invariant_checker_overhead():
+    """VStateChecker cost: disabled mode must be free, enabled is
+    reported.
+
+    Disabled is the default; the verifier hot path pays one
+    ``is not None`` test per checkpoint.  The baseline run (flags
+    defaulted) and the explicit ``check_invariants=False`` run must
+    agree within ``INVARIANT_OVERHEAD_BUDGET``; the
+    ``check_invariants=True`` overhead is recorded in
+    ``BENCH_throughput.json`` for trend tracking but not gated (opt-in
+    diagnostics may cost what they cost — including the verdict cache
+    disabling itself, since a cached hit would skip the very
+    checkpoints the flag asks for).
+    """
+    samples = _measure_overhead("check_invariants")
+    disabled_overhead = _record_overhead(
+        "invariant_checker", "VStateChecker overhead", samples,
+        INVARIANT_OVERHEAD_BUDGET,
+    )
     assert disabled_overhead <= INVARIANT_OVERHEAD_BUDGET, (
         f"disabled-mode VStateChecker overhead {disabled_overhead:.1%} "
         f"exceeds the {INVARIANT_OVERHEAD_BUDGET:.0%} budget"
@@ -237,64 +261,19 @@ def test_invariant_checker_overhead():
 def test_flight_recorder_overhead():
     """Flight-recorder cost: disabled mode must stay within 5%.
 
-    Same methodology as :func:`test_invariant_checker_overhead` (one
-    warm-up per mode, then median of 3 interleaved rounds).  When the
-    flag is off the verifier hot path pays one ``.enabled`` attribute
-    test per instrumentation point against the shared
-    :data:`repro.obs.events.NULL_FLIGHT`; that is what the
-    ``disabled_overhead`` gate (checked here *and* by
-    ``check_throughput_trajectory.py``) protects.  Enabled-mode cost is
-    recorded for trend tracking but not gated — recording disables the
-    verdict cache by design (a cached hit would skip the very
-    decisions the recorder exists to capture).
+    When the flag is off the shard observer has no flight recorder:
+    the verifier's decision events are skipped behind the observer's
+    hoisted flags; that is what the ``disabled_overhead`` gate (checked
+    here *and* by ``check_throughput_trajectory.py``) protects.
+    Enabled-mode cost is recorded for trend tracking but not gated —
+    recording disables the verdict cache by design (a cached hit would
+    skip the very decisions the recorder exists to capture).
     """
-    from statistics import median
-
-    from repro.fuzz.campaign import Campaign
-
-    def run_pps(**flags) -> float:
-        config = CampaignConfig(
-            tool="bvf", kernel_version="bpf-next", budget=BUDGET,
-            seed=0, **flags
-        )
-        stats = ThroughputStats.from_result(Campaign(config).run())
-        return stats.programs_per_sec
-
-    modes = {
-        "baseline": {},
-        "disabled": {"flight": False},
-        "enabled": {"flight": True},
-    }
-    for flags in modes.values():  # warm-up, discarded
-        run_pps(**flags)
-    rounds: dict[str, list[float]] = {mode: [] for mode in modes}
-    for _ in range(3):
-        for mode, flags in modes.items():
-            rounds[mode].append(run_pps(**flags))
-    samples = {mode: median(values) for mode, values in rounds.items()}
-
-    disabled_overhead = 1.0 - samples["disabled"] / samples["baseline"]
-    enabled_overhead = 1.0 - samples["enabled"] / samples["baseline"]
-
-    payload = _load_payload()
-    payload["flight_recorder"] = {
-        "budget": BUDGET,
-        "baseline_programs_per_sec": round(samples["baseline"], 2),
-        "disabled_programs_per_sec": round(samples["disabled"], 2),
-        "enabled_programs_per_sec": round(samples["enabled"], 2),
-        "disabled_overhead": round(disabled_overhead, 4),
-        "enabled_overhead": round(enabled_overhead, 4),
-        "disabled_overhead_budget": FLIGHT_OVERHEAD_BUDGET,
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-
-    print("\n=== Flight recorder overhead (serial) ===")
-    for mode in ("baseline", "disabled", "enabled"):
-        print(f"{mode:>9}: {samples[mode]:8.1f} programs/sec")
-    print(f"disabled overhead: {disabled_overhead:+.1%} "
-          f"(budget {FLIGHT_OVERHEAD_BUDGET:.0%}); "
-          f"enabled overhead: {enabled_overhead:+.1%}")
-
+    samples = _measure_overhead("flight")
+    disabled_overhead = _record_overhead(
+        "flight_recorder", "Flight recorder overhead", samples,
+        FLIGHT_OVERHEAD_BUDGET,
+    )
     assert disabled_overhead <= FLIGHT_OVERHEAD_BUDGET, (
         f"disabled-mode flight-recorder overhead {disabled_overhead:.1%} "
         f"exceeds the {FLIGHT_OVERHEAD_BUDGET:.0%} budget"
@@ -304,11 +283,9 @@ def test_flight_recorder_overhead():
 def test_profiler_overhead():
     """Hierarchical profiler cost: disabled mode must stay within 5%.
 
-    Same methodology as :func:`test_flight_recorder_overhead` (one
-    warm-up per mode, then median of 3 interleaved rounds).  When
-    ``profile=False`` (the default) the instrumented components fetch
-    ``obs.profiler()`` once, store ``None``, and pay one ``is not
-    None`` test per hook — that is what the ``disabled_overhead`` gate
+    When ``profile=False`` (the default) the shard observer has no
+    profiler: frames and op counts are skipped behind the observer's
+    hoisted flags — that is what the ``disabled_overhead`` gate
     (checked here *and* by ``check_throughput_trajectory.py``)
     protects.  Enabled-mode cost is recorded for trend tracking but
     not gated — exact per-family counts require disabling the verdict
@@ -318,51 +295,16 @@ def test_profiler_overhead():
     ``BENCH_profile.json`` so CI archives where verification time goes
     next to the throughput trajectory.
     """
-    from statistics import median
-
-    from repro.fuzz.campaign import Campaign
     from repro.obs.profile import render_profile
 
     profiles: list[dict] = []
-
-    def run_pps(**flags) -> float:
-        config = CampaignConfig(
-            tool="bvf", kernel_version="bpf-next", budget=BUDGET,
-            seed=0, **flags
-        )
-        result = Campaign(config).run()
-        if flags.get("profile"):
-            profiles.append(result.profile)
-        return ThroughputStats.from_result(result).programs_per_sec
-
-    modes = {
-        "baseline": {},
-        "disabled": {"profile": False},
-        "enabled": {"profile": True},
-    }
-    for flags in modes.values():  # warm-up, discarded
-        run_pps(**flags)
-    profiles.clear()  # keep only measured-round snapshots
-    rounds: dict[str, list[float]] = {mode: [] for mode in modes}
-    for _ in range(3):
-        for mode, flags in modes.items():
-            rounds[mode].append(run_pps(**flags))
-    samples = {mode: median(values) for mode, values in rounds.items()}
-
-    disabled_overhead = 1.0 - samples["disabled"] / samples["baseline"]
-    enabled_overhead = 1.0 - samples["enabled"] / samples["baseline"]
-
-    payload = _load_payload()
-    payload["profiler"] = {
-        "budget": BUDGET,
-        "baseline_programs_per_sec": round(samples["baseline"], 2),
-        "disabled_programs_per_sec": round(samples["disabled"], 2),
-        "enabled_programs_per_sec": round(samples["enabled"], 2),
-        "disabled_overhead": round(disabled_overhead, 4),
-        "enabled_overhead": round(enabled_overhead, 4),
-        "disabled_overhead_budget": PROFILE_OVERHEAD_BUDGET,
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    samples = _measure_overhead(
+        "profile", lambda result: profiles.append(result.profile)
+    )
+    disabled_overhead = _record_overhead(
+        "profiler", "Verifier profiler overhead", samples,
+        PROFILE_OVERHEAD_BUDGET,
+    )
 
     # Campaigns are seed-deterministic, so every measured round's
     # snapshot carries the same exact counts; the wall half is this
@@ -376,13 +318,6 @@ def test_profiler_overhead():
         "seed": 0,
         "profile": profiles[-1],
     }, indent=2) + "\n")
-
-    print("\n=== Verifier profiler overhead (serial) ===")
-    for mode in ("baseline", "disabled", "enabled"):
-        print(f"{mode:>9}: {samples[mode]:8.1f} programs/sec")
-    print(f"disabled overhead: {disabled_overhead:+.1%} "
-          f"(budget {PROFILE_OVERHEAD_BUDGET:.0%}); "
-          f"enabled overhead: {enabled_overhead:+.1%}")
     print(f"wrote {PROFILE_OUTPUT.name}")
     print(render_profile(profiles[-1], top=5))
 
@@ -395,10 +330,8 @@ def test_profiler_overhead():
 def test_repair_overhead():
     """Repair synthesizer cost: disabled mode must stay within 5%.
 
-    Same methodology as :func:`test_flight_recorder_overhead` (one
-    warm-up per mode, then median of 3 interleaved rounds).  When
-    ``repair_feedback=False`` (the default) the campaign's rejection
-    path pays one boolean test per reject — that is what the
+    When ``repair_feedback=False`` (the default) the campaign's
+    rejection path pays one boolean test per reject — that is what the
     ``disabled_overhead`` gate (checked here *and* by
     ``check_throughput_trajectory.py``) protects.  Enabled-mode cost is
     recorded for trend tracking but not gated — synthesis re-verifies
@@ -412,38 +345,8 @@ def test_repair_overhead():
     run — the earliest symptom of a patch template or provenance-pass
     regression, since campaigns are seed-deterministic.
     """
-    from statistics import median
-
-    from repro.fuzz.campaign import Campaign
-
     repair_results: list = []
-
-    def run_pps(**flags) -> float:
-        config = CampaignConfig(
-            tool="bvf", kernel_version="bpf-next", budget=BUDGET,
-            seed=0, **flags
-        )
-        result = Campaign(config).run()
-        if flags.get("repair_feedback"):
-            repair_results.append(result)
-        return ThroughputStats.from_result(result).programs_per_sec
-
-    modes = {
-        "baseline": {},
-        "disabled": {"repair_feedback": False},
-        "enabled": {"repair_feedback": True},
-    }
-    for flags in modes.values():  # warm-up, discarded
-        run_pps(**flags)
-    repair_results.clear()  # keep only measured-round results
-    rounds: dict[str, list[float]] = {mode: [] for mode in modes}
-    for _ in range(3):
-        for mode, flags in modes.items():
-            rounds[mode].append(run_pps(**flags))
-    samples = {mode: median(values) for mode, values in rounds.items()}
-
-    disabled_overhead = 1.0 - samples["disabled"] / samples["baseline"]
-    enabled_overhead = 1.0 - samples["enabled"] / samples["baseline"]
+    samples = _measure_overhead("repair_feedback", repair_results.append)
 
     # Campaigns are seed-deterministic, so every measured round found
     # the same repairs; score the last.
@@ -461,29 +364,14 @@ def test_repair_overhead():
         }
         for reason in sorted(result.repairs_attempted)
     }
-
-    payload = _load_payload()
-    payload["repair_feedback"] = {
-        "budget": BUDGET,
-        "baseline_programs_per_sec": round(samples["baseline"], 2),
-        "disabled_programs_per_sec": round(samples["disabled"], 2),
-        "enabled_programs_per_sec": round(samples["enabled"], 2),
-        "disabled_overhead": round(disabled_overhead, 4),
-        "enabled_overhead": round(enabled_overhead, 4),
-        "disabled_overhead_budget": REPAIR_OVERHEAD_BUDGET,
-        "attempted": attempted,
-        "verified": verified,
-        "verified_rate": verified / attempted if attempted else 0.0,
-        "by_reason": by_reason,
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-
-    print("\n=== Repair synthesizer overhead (serial) ===")
-    for mode in ("baseline", "disabled", "enabled"):
-        print(f"{mode:>9}: {samples[mode]:8.1f} programs/sec")
-    print(f"disabled overhead: {disabled_overhead:+.1%} "
-          f"(budget {REPAIR_OVERHEAD_BUDGET:.0%}); "
-          f"enabled overhead: {enabled_overhead:+.1%}")
+    disabled_overhead = _record_overhead(
+        "repair_feedback", "Repair synthesizer overhead", samples,
+        REPAIR_OVERHEAD_BUDGET,
+        attempted=attempted,
+        verified=verified,
+        verified_rate=verified / attempted if attempted else 0.0,
+        by_reason=by_reason,
+    )
     print(f"verified repairs: {verified}/{attempted} "
           f"({verified / attempted if attempted else 0.0:.1%})")
 

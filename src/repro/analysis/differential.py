@@ -228,7 +228,7 @@ class DifferentialOracle:
                         iteration=iteration,
                     )
                 )
-                obs.metrics().counter("differential.divergences")
+                obs.current().counter("differential.divergences")
         return divergences
 
     # ------------------------------------------------------- classification --
@@ -250,7 +250,7 @@ class DifferentialOracle:
                 candidate = cfg_a.with_flaw(flaw)
             else:
                 candidate = cfg_a.without_flaw(flaw)
-            obs.metrics().counter("differential.replays")
+            obs.current().counter("differential.replays")
             if self.verify_under(candidate, gp).signature == target:
                 return "known-flaw", flaw.value
 
@@ -259,7 +259,7 @@ class DifferentialOracle:
             value_a, value_b = getattr(cfg_a, name), getattr(cfg_b, name)
             if value_a == value_b:
                 continue
-            obs.metrics().counter("differential.replays")
+            obs.current().counter("differential.replays")
             candidate = replace(cfg_a, **{name: value_b})
             if self.verify_under(candidate, gp).signature == target:
                 return "feature-gap", name
@@ -273,7 +273,7 @@ class DifferentialOracle:
             flaws=cfg_b.flaws,
             **{name: getattr(cfg_b, name) for name in _FEATURE_FIELDS},
         )
-        obs.metrics().counter("differential.replays")
+        obs.current().counter("differential.replays")
         if self.verify_under(combined, gp).signature == target:
             return "combined", ",".join(
                 [f.value for f in differing]

@@ -32,6 +32,7 @@ from repro.errors import (
     VerifierReject,
 )
 from repro.obs.frontier import DEFAULT_PLATEAU_WINDOW, FrontierTracker
+from repro.obs.heartbeat import HeartbeatWriter
 from repro.obs.metrics import cache_hit_rates
 from repro.obs.taxonomy import classify
 from repro.verifier.log import final_message
@@ -192,6 +193,56 @@ class CampaignResult:
         return alu_jmp / total
 
 
+def observes_do_check(config: CampaignConfig) -> bool:
+    """Does a diagnostic mode watch ``do_check`` from the inside?
+
+    Invariant checking, tracing, flight recording, profiling and repair
+    feedback all do; a verdict-cache hit skips ``do_check``, so the
+    campaign runs without the cache whenever one of them is on.
+    """
+    return bool(
+        config.check_invariants
+        or config.trace_path
+        or config.flight
+        or config.profile
+        or config.repair_feedback
+    )
+
+
+def shard_observer(config: CampaignConfig) -> obs.Observer:
+    """The observer one campaign shard runs under.
+
+    The metrics registry is always there; every other part only when
+    the config asks for it.  Repair feedback implies the flight
+    recorder: the failing-instruction attribution comes from its ring.
+    """
+    return obs.Observer(
+        metrics=obs.MetricsRegistry(),
+        trace=(
+            obs.JsonlTraceRecorder(config.trace_path)
+            if config.trace_path else None
+        ),
+        flight=(
+            obs.FlightRecorder()
+            if config.flight or config.repair_feedback else None
+        ),
+        profiler=obs.VerifierProfiler() if config.profile else None,
+        frontier=(
+            FrontierTracker(config.plateau_window)
+            if config.collect_coverage else None
+        ),
+        heartbeat=(
+            HeartbeatWriter(
+                config.heartbeat_dir,
+                shard_index=config.shard_index,
+                budget=config.budget,
+                seed=config.seed,
+            )
+            if config.heartbeat_dir else None
+        ),
+    )
+
+
 def make_generator(tool: str, kernel: Kernel | None, rng: FuzzRng):
     """Instantiate the generator for a tool name.
 
@@ -234,26 +285,13 @@ class Campaign:
         # it to that iteration's fresh Kernel (crash isolation stays
         # per-iteration, construction cost does not).
         self.generator = make_generator(config.tool, None, self.rng)
-        # Frame-level verdict cache; off when invariant checking,
-        # tracing, flight recording, or profiling needs to observe
-        # do_check from the inside (a cached hit skips the very
-        # decisions those sinks exist to capture).
         self.verdicts = (
-            VerdictCache()
-            if not config.check_invariants
-            and not config.trace_path
-            and not config.flight
-            and not config.profile
-            and not config.repair_feedback
-            else None
+            None if observes_do_check(config) else VerdictCache()
         )
-        # Replaced by run() with a clock wired to that run's metrics
-        # registry and recorder; a bare default keeps _iteration usable
-        # standalone (tests drive it directly).
-        self._clock = obs.PhaseClock()
-        self._flight = obs.NULL_FLIGHT
-        self._profiler = None
-        self._frontier = None
+        # Replaced by run() with a clock wired to that run's observer;
+        # a bare default keeps _iteration usable standalone (tests
+        # drive it directly).
+        self._clock = obs.PhaseClock(obs.Observer())
 
     # ------------------------------------------------------------------ run --
 
@@ -262,51 +300,20 @@ class Campaign:
         result = CampaignResult(config=self.config)
         sampled_edges: set[int] = set()
 
-        # Per-shard observability sinks: this campaign's registry and
-        # recorder become the process-current ones for the duration of
-        # the run, so the verifier/generator/oracle instrumentation
-        # lands in *this* shard's snapshot.  The clock is the single
-        # phase timer — every phase duration is accumulated exactly
-        # once, in its context manager's exit.
-        registry = obs.MetricsRegistry()
-        recorder = (
-            obs.JsonlTraceRecorder(self.config.trace_path)
-            if self.config.trace_path
-            else obs.NULL_RECORDER
-        )
-        flight = (
-            obs.FlightRecorder()
-            if self.config.flight or self.config.repair_feedback
-            else obs.NULL_FLIGHT
-        )
-        self._flight = flight
-        profiler = obs.VerifierProfiler() if self.config.profile else None
-        self._profiler = profiler
-        frontier = (
-            FrontierTracker(self.config.plateau_window)
-            if self.config.collect_coverage
-            else None
-        )
-        self._frontier = frontier
-        clock = obs.PhaseClock(metrics=registry, recorder=recorder)
+        # This shard's observer becomes the current one for the
+        # duration of the run, so the verifier/generator/oracle
+        # instrumentation lands in *this* shard's parts.  The clock is
+        # the single phase timer — every phase duration is accumulated
+        # exactly once, in its context manager's exit.
+        observer = shard_observer(self.config)
+        registry, frontier = observer.metrics, observer.frontier
+        heartbeat = observer.heartbeat
+        clock = obs.PhaseClock(observer)
         self._clock = clock
-        token = obs.install(registry, recorder,
-                            flight if flight.enabled else None,
-                            profiler)
+        token = obs.install(observer)
         # The tnum memo LRUs are process-global (shards in one process
         # share warm entries), so this shard's contribution is a delta.
         tnum_before = tnum_memo_stats()
-
-        heartbeat = None
-        if self.config.heartbeat_dir:
-            from repro.obs.heartbeat import HeartbeatWriter
-
-            heartbeat = HeartbeatWriter(
-                self.config.heartbeat_dir,
-                shard_index=self.config.shard_index,
-                budget=self.config.budget,
-                seed=self.config.seed,
-            )
 
         def beat(status: str) -> None:
             if heartbeat is None:
@@ -356,10 +363,7 @@ class Campaign:
             beat("done")
         finally:
             obs.restore(token)
-            recorder.close()
-            self._flight = obs.NULL_FLIGHT
-            self._profiler = None
-            self._frontier = None
+            observer.close()
         tnum_after = tnum_memo_stats()
         registry.counter("cache.tnum.hits",
                          tnum_after["hits"] - tnum_before["hits"])
@@ -374,6 +378,7 @@ class Campaign:
         result.differential_seconds = clock.seconds["differential"]
         result.wall_seconds = time.perf_counter() - started
         result.metrics = registry.snapshot()
+        profiler = observer.profiler
         result.profile = profiler.snapshot() if profiler is not None else {}
         result.frontier = frontier.snapshot() if frontier is not None else {}
         return result
@@ -392,7 +397,8 @@ class Campaign:
         with self._clock.phase("generate"):
             gp = self._next_program(kernel)
         result.generated += 1
-        obs.metrics().counter("campaign.generated")
+        ob = obs.current()
+        ob.counter("campaign.generated")
         for insn in gp.insns:
             if not insn.is_filler():
                 result.insn_classes[insn.insn_class] += 1
@@ -436,13 +442,13 @@ class Campaign:
         # Frontier attribution covers every verdict: coverage.collect()
         # publishes ``last_new`` from its finally block, so rejected
         # programs contribute their edges too.
-        if self._frontier is not None:
-            self._note_frontier(iteration, gp)
+        if ob.frontier is not None:
+            self._note_frontier(ob, iteration, gp)
         if verified is None:
             return
 
         result.accepted += 1
-        obs.metrics().counter("campaign.accepted")
+        ob.counter("campaign.accepted")
         for kind in kinds:
             result.frame_accepted[kind] += 1
         if self.config.collect_coverage and self.coverage.last_new > 0:
@@ -451,10 +457,12 @@ class Campaign:
         with self._clock.phase("execute"):
             self._execute_plan(kernel, verified, gp, result, iteration)
 
-    def _note_frontier(self, iteration: int, gp: GeneratedProgram) -> None:
+    def _note_frontier(
+        self, ob: obs.Observer, iteration: int, gp: GeneratedProgram
+    ) -> None:
         """Feed one iteration's coverage outcome to the frontier tracker
         and publish the plateau event if the tracker just stalled."""
-        event = self._frontier.note(
+        event = ob.frontier.note(
             iteration,
             self.coverage.last_new,
             frames=self._frame_kinds(gp),
@@ -463,10 +471,9 @@ class Campaign:
         )
         if event is None:
             return
-        obs.metrics().counter("campaign.plateaus")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("campaign.plateau", **event)
+        ob.counter("campaign.plateaus")
+        if ob.tracing:
+            ob.event("campaign.plateau", **event)
 
     def _reject(
         self,
@@ -481,13 +488,13 @@ class Campaign:
         result.reject_errnos[errno] += 1
         reason = classify(message)
         result.reject_reasons[reason] += 1
-        obs.metrics().counter("campaign.rejected")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("campaign.reject", errno=errno, reason=reason,
-                      message=message)
-        if self._flight.enabled:
-            self._explain_reject(result, errno, message, reason,
+        ob = obs.current()
+        ob.counter("campaign.rejected")
+        if ob.tracing:
+            ob.event("campaign.reject", errno=errno, reason=reason,
+                     message=message)
+        if ob.flight is not None:
+            self._explain_reject(ob, result, errno, message, reason,
                                  gp, iteration)
         if (
             self.config.repair_feedback
@@ -499,6 +506,7 @@ class Campaign:
 
     def _explain_reject(
         self,
+        ob: obs.Observer,
         result: CampaignResult,
         errno: int,
         message: str,
@@ -508,13 +516,12 @@ class Campaign:
     ) -> None:
         """Spill the flight ring for a rejection and keep one
         explanation per taxonomy reason (the earliest iteration)."""
-        events = self._flight.snapshot()
-        rec = obs.recorder()
-        if rec.enabled:
+        events = ob.flight.snapshot()
+        if ob.tracing:
             # Interesting outcome: spill the decision ring to the trace
             # stream so post-hoc analysis sees the full last-K window.
-            rec.event("verifier.flight", reason=reason, errno=errno,
-                      events=events)
+            ob.event("verifier.flight", reason=reason, errno=errno,
+                     events=events)
         if reason in result.reject_explanations:
             return
         from repro.obs.explain import explain_events
@@ -553,9 +560,10 @@ class Campaign:
         from repro.analysis.repair import synthesize_repair
 
         result.repairs_attempted[reason] += 1
-        obs.metrics().counter("campaign.repair.attempted")
+        ob = obs.current()
+        ob.counter("campaign.repair.attempted")
         insn_idx = 0
-        for event in reversed(self._flight.snapshot()):
+        for event in reversed(ob.flight.snapshot()):
             if (
                 event.get("kind") == "verdict"
                 and event.get("verdict") != "accept"
@@ -571,12 +579,11 @@ class Campaign:
         if repair is None:
             return
         result.repairs_verified[reason] += 1
-        obs.metrics().counter("campaign.repair.verified")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("campaign.repair", reason=reason,
-                      template=repair.template,
-                      edit_distance=repair.edit_distance)
+        ob.counter("campaign.repair.verified")
+        if ob.tracing:
+            ob.event("campaign.repair", reason=reason,
+                     template=repair.template,
+                     edit_distance=repair.edit_distance)
         if reason not in result.repair_examples:
             entry = repair.to_dict()
             entry["iteration"] = iteration
@@ -601,12 +608,12 @@ class Campaign:
         kept = result.divergences.get(entry["key"])
         if kept is None:
             result.divergences[entry["key"]] = entry
-        obs.metrics().counter("campaign.divergences")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("campaign.divergence", key=entry["key"],
-                      kind=entry["kind"],
-                      classification=entry["classification"])
+        ob = obs.current()
+        ob.counter("campaign.divergences")
+        if ob.tracing:
+            ob.event("campaign.divergence", key=entry["key"],
+                     kind=entry["kind"],
+                     classification=entry["classification"])
         self._record(result, self.oracle.classify_divergence(div), iteration)
 
     def _load(self, kernel: Kernel, prog: BpfProgram, gp: GeneratedProgram):
@@ -615,10 +622,7 @@ class Campaign:
         # Root profiler frame: everything the verify phase pays for runs
         # under it, so Σ self-times telescopes to (almost) the phase's
         # measured wall — the property the overhead benchmark asserts.
-        prof = self._profiler
-        if prof is not None:
-            prof.push("verify")
-        try:
+        with obs.current().frame("verify"):
             if self.verdicts is not None:
                 coverage = (
                     self.coverage if self.config.collect_coverage else None
@@ -636,9 +640,6 @@ class Campaign:
                                             check_invariants=check)
             return kernel.prog_load(prog, sanitize=sanitize,
                                     check_invariants=check)
-        finally:
-            if prof is not None:
-                prof.pop()
 
     # ----------------------------------------------------------- generation --
 

@@ -209,18 +209,17 @@ class StructuredGenerator:
         offload = None
         if prog_type == ProgType.XDP and rng.chance(self.config.p_offload):
             offload = "netdev0"
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event(
+        ob = obs.current()
+        if ob.tracing:
+            ob.event(
                 "generator.program",
                 origin=self.name,
                 prog_type=prog_type.value,
                 insns=len(st.insns),
                 frames=len(frame_kinds),
             )
-        m = obs.metrics()
-        m.counter("generator.programs")
-        m.observe("generator.program_insns", len(st.insns))
+        ob.counter("generator.programs")
+        ob.observe("generator.program_insns", len(st.insns))
         return GeneratedProgram(
             insns=st.insns,
             prog_type=prog_type,

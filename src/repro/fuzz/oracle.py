@@ -107,13 +107,12 @@ class Oracle:
     ) -> BugFinding:
         """Map a kernel self-check report to a finding."""
         finding = self._classify_report(report, gp)
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle." + finding.indicator)
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=finding.bug_id,
-                      indicator=finding.indicator, report=report.kind)
+        ob = obs.current()
+        ob.counter("oracle.reports")
+        ob.counter("oracle." + finding.indicator)
+        if ob.tracing:
+            ob.event("oracle.finding", bug_id=finding.bug_id,
+                     indicator=finding.indicator, report=report.kind)
         return finding
 
     def _classify_report(
@@ -220,13 +219,12 @@ class Oracle:
     ) -> BugFinding | None:
         """Component bugs that surface as wrong syscall failures."""
         if "kmemdup" in (error.message or ""):
-            m = obs.metrics()
-            m.counter("oracle.reports")
-            m.counter("oracle.component")
-            rec = obs.recorder()
-            if rec.enabled:
-                rec.event("oracle.finding", bug_id=Flaw.KMEMDUP_LIMIT.value,
-                          indicator="component", report="syscall-error")
+            ob = obs.current()
+            ob.counter("oracle.reports")
+            ob.counter("oracle.component")
+            if ob.tracing:
+                ob.event("oracle.finding", bug_id=Flaw.KMEMDUP_LIMIT.value,
+                         indicator="component", report="syscall-error")
             return BugFinding(
                 bug_id=Flaw.KMEMDUP_LIMIT.value,
                 indicator="component",
@@ -269,13 +267,12 @@ class Oracle:
                 f"{div.outcome_a.verdict}/{div.outcome_a.reason or '-'} vs "
                 f"{div.outcome_b.verdict}/{div.outcome_b.reason or '-'}"
             )
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle.differential")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=bug_id,
-                      indicator="differential", report="divergence")
+        ob = obs.current()
+        ob.counter("oracle.reports")
+        ob.counter("oracle.differential")
+        if ob.tracing:
+            ob.event("oracle.finding", bug_id=bug_id,
+                     indicator="differential", report="divergence")
         return BugFinding(
             bug_id=bug_id,
             indicator="differential",
@@ -293,13 +290,12 @@ class Oracle:
         but caught statically by the VStateChecker rather than at
         runtime by the sanitizer.
         """
-        m = obs.metrics()
-        m.counter("oracle.reports")
-        m.counter("oracle.invariant")
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("oracle.finding", bug_id=f"invariant:{violation.code}",
-                      indicator="invariant", report="invariant-violation")
+        ob = obs.current()
+        ob.counter("oracle.reports")
+        ob.counter("oracle.invariant")
+        if ob.tracing:
+            ob.event("oracle.finding", bug_id=f"invariant:{violation.code}",
+                     indicator="invariant", report="invariant-violation")
         return BugFinding(
             bug_id=f"invariant:{violation.code}",
             indicator="invariant",
@@ -327,7 +323,7 @@ class Oracle:
         if not remaining:
             return "indicator1-duplicate"
         for flaw in remaining + [f for f in candidates if f in self._attributed]:
-            obs.metrics().counter("oracle.triage_replays")
+            obs.current().counter("oracle.triage_replays")
             fixed = self.config.without_flaw(flaw)
             kernel = replay_kernel(fixed, gp)
             prog = BpfProgram(insns=list(gp.insns), prog_type=gp.prog_type)

@@ -33,9 +33,10 @@ re-verification; three mechanisms guarantee that:
 Only the ``cache.verdict.*`` counters (per-frame-kind hits and
 misses) distinguish a cached campaign from an uncached one, and
 :func:`~repro.obs.metrics.strip_wall_fields` excludes the ``cache.``
-family from artifact comparisons.  The cache turns itself off when
-invariant checking or trace recording is active: both observe
-``do_check`` from the inside, where a replay has nothing to show.
+family from artifact comparisons.  A campaign runs without the cache
+whenever one of its diagnostic modes observes ``do_check`` from the
+inside, where a replay has nothing to show
+(:func:`repro.fuzz.campaign.observes_do_check`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ __all__ = ["VerdictCache", "VerdictEntry"]
 
 
 class _RecordingMetrics:
-    """Metrics tee: forwards to the real sink, logs deterministic calls.
+    """Metrics tee: forwards to the observer it wraps, logs
+    deterministic calls.
 
     Wall-clock methods are forwarded but not logged — they are
     run-to-run noise, segregated into the snapshot's ``wall`` section
@@ -85,9 +87,6 @@ class _RecordingMetrics:
 
     def observe_time(self, name: str, seconds: float) -> None:
         self._inner.observe_time(name, seconds)
-
-    def snapshot(self) -> dict:
-        return self._inner.snapshot()
 
 
 @dataclass
@@ -157,7 +156,7 @@ class VerdictCache:
         self._entries[key] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            obs.metrics().counter("cache.verdict.evictions")
+            obs.current().counter("cache.verdict.evictions")
 
     def load(self, kernel, prog, *, sanitize: bool, coverage,
              map_specs: tuple, kinds: frozenset[str]):
@@ -170,10 +169,10 @@ class VerdictCache:
         """
         key = self._key(prog, map_specs, sanitize)
         entry = self._entries.get(key)
-        m = obs.metrics()
+        ob = obs.current()
         if entry is not None:
             self._entries.move_to_end(key)
-            self._count(m, "hits", kinds)
+            self._count(ob, "hits", kinds)
             if entry.kind == "accepted":
                 verified = kernel.prog_load(
                     prog, sanitize=sanitize, cached_check=entry.check
@@ -182,7 +181,7 @@ class VerdictCache:
                     coverage.replay(entry.window)
                 return verified
             for call in entry.metric_log:
-                getattr(m, call[0])(*call[1:])
+                getattr(ob, call[0])(*call[1:])
             if coverage is not None and entry.window is not None:
                 coverage.replay(entry.window)
             if entry.kind == "reject":
@@ -190,9 +189,11 @@ class VerdictCache:
                                      log=entry.log)
             raise BpfError(entry.errno, entry.message)
 
-        self._count(m, "misses", kinds)
-        tee = _RecordingMetrics(m)
-        token = obs.install(tee, obs.recorder())
+        self._count(ob, "misses", kinds)
+        tee = _RecordingMetrics(ob)
+        # Only the metrics part is swapped: flight recorder, profiler and
+        # trace keep observing the miss run.
+        token = obs.install(ob.replace(metrics=tee))
         window: set[int] | None = None
         try:
             if coverage is not None:

@@ -1,152 +1,260 @@
-"""``repro.obs`` — campaign observability: metrics, traces, taxonomy.
+"""``repro.obs`` — campaign observability behind one observer seam.
 
-The subsystem has three layers (see DESIGN.md "Observability"):
+The parts an :class:`Observer` can carry (see DESIGN.md
+"Observability"):
 
 - :mod:`repro.obs.metrics` — a deterministic metrics registry
   (counters / gauges / fixed-bucket histograms, wall-clock values
   segregated) whose snapshots merge worker-count-invariantly;
-- :mod:`repro.obs.trace` — JSONL trace events and spans with a no-op
-  recorder as the disabled default, plus :class:`PhaseClock`, the
-  single phase timer the campaign loop runs on;
-- :mod:`repro.obs.taxonomy` — stable reason codes for every verifier
-  rejection;
+- :mod:`repro.obs.trace` — JSONL trace events and spans, plus
+  :class:`PhaseClock`, the single phase timer the campaign loop runs
+  on;
 - :mod:`repro.obs.events` — the verifier flight recorder: a bounded
   ring of typed decision events per verification, spilled on
   interesting outcomes and consumed by :mod:`repro.obs.explain`;
 - :mod:`repro.obs.profile` — the hierarchical verifier profiler:
   deterministic frame/op counts with wall-segregated self/cumulative
   times, rendered by ``repro profile``;
-- :mod:`repro.obs.frontier` — coverage-frontier attribution and
-  plateau detection over campaign iterations.
+- :mod:`repro.obs.frontier` and :mod:`repro.obs.heartbeat` — coverage
+  frontier attribution and progress heartbeats, read by the campaign
+  loop only.
+
+:mod:`repro.obs.taxonomy` gives every verifier rejection a stable
+reason code.
 
 Instrumented components (verifier, generator, sanitizer, interpreter,
-oracle) do not take recorder arguments — they read the
-**process-current sinks** held here.  A :class:`~repro.fuzz.campaign.
-Campaign` installs its per-shard registry/recorder at the top of
-``run()`` and restores the previous sinks on exit.  Shards either run
-sequentially in-process or one-per-fork, so a process-global holder is
-race-free and keeps the per-shard attribution exact.  Outside a
-campaign the sinks are no-ops: the disabled cost on a hot path is one
-module-attribute read and an empty method call.
+oracle) do not take observer arguments — they call the per-event
+methods of the **current observer** (:func:`current`).  A
+:class:`~repro.fuzz.campaign.Campaign` builds one observer per shard,
+installs it at the top of ``run()`` and restores the previous one on
+exit.  Shards either run sequentially in-process or one-per-fork, so
+a process-global holder is race-free and keeps the per-shard
+attribution exact.  Outside a campaign the current observer is a bare
+``Observer()``, whose every method is a no-op.
 """
 
 from __future__ import annotations
 
-from repro.obs.events import (
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from contextlib import nullcontext
+
+from repro.obs.events import FlightRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
-    NullMetrics,
     merge_snapshots,
     strip_wall_fields,
 )
-from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
-    VerifierProfiler,
-)
+from repro.obs.profile import VerifierProfiler
 from repro.obs.taxonomy import UNCLASSIFIED, classify
-from repro.obs.trace import (
-    NULL_RECORDER,
-    JsonlTraceRecorder,
-    NullRecorder,
-    PhaseClock,
-)
+from repro.obs.trace import JsonlTraceRecorder, PhaseClock
 
 __all__ = [
+    "Observer",
     "MetricsRegistry",
-    "NullMetrics",
-    "NullRecorder",
     "JsonlTraceRecorder",
     "FlightRecorder",
-    "NullFlightRecorder",
     "VerifierProfiler",
-    "NullProfiler",
     "PhaseClock",
-    "NULL_RECORDER",
-    "NULL_FLIGHT",
-    "NULL_PROFILER",
     "UNCLASSIFIED",
     "classify",
     "merge_snapshots",
     "strip_wall_fields",
-    "metrics",
-    "recorder",
-    "flight",
-    "profiler",
+    "current",
     "install",
     "restore",
 ]
 
-_NULL_METRICS = NullMetrics()
-
-_current_metrics = _NULL_METRICS
-_current_recorder = NULL_RECORDER
-_current_flight = NULL_FLIGHT
-_current_profiler = NULL_PROFILER
+#: What ``span``/``frame`` hand back when nothing records them.
+_IDLE = nullcontext()
 
 
-def metrics():
-    """The process-current metrics sink (a no-op outside campaigns)."""
-    return _current_metrics
+class Observer:
+    """One shard's observability: per-event methods over optional parts.
+
+    Every method defined on the class is a no-op, so ``Observer()`` is
+    the disabled default.  Each part given to the constructor replaces
+    the no-ops of the events it consumes with its own bound methods, so
+    an event costs one call whether or not anything listens, and no
+    method tests for a missing part.
+
+    Hot paths must not build arguments for an event nobody consumes;
+    they test one of the flags first: ``tracing`` (trace events and
+    spans), ``profiling`` (frames and op counts), ``flight_level``
+    (0 = no flight recorder) and ``verifier_hooks`` (flight recorder or
+    profiler — the verifier's per-instruction gate).
+    """
+
+    tracing = False
+    profiling = False
+    flight_level = 0
+    verifier_hooks = False
+
+    def __init__(
+        self,
+        metrics=None,
+        trace=None,
+        flight=None,
+        profiler=None,
+        frontier=None,
+        heartbeat=None,
+    ) -> None:
+        self.metrics = metrics
+        self.trace = trace
+        self.flight = flight
+        self.profiler = profiler
+        #: campaign-loop parts: no component emits events to these
+        self.frontier = frontier
+        self.heartbeat = heartbeat
+        if metrics is not None:
+            self.counter = metrics.counter
+            self.gauge_max = metrics.gauge_max
+            self.observe = metrics.observe
+            self.wall = metrics.wall
+            self.observe_time = metrics.observe_time
+        if trace is not None:
+            self.tracing = True
+            self.event = trace.event
+            self.span = trace.span
+            self.close = trace.close
+        if flight is not None:
+            self.flight_level = flight.level
+            self.verify_begin = flight.begin
+            self.verify_step = flight.step
+            self.verify_prune = flight.prune
+            self.verify_refine = flight.refine
+            self.verify_patch = flight.patch
+            self.verify_verdict = flight.verdict
+        if profiler is not None:
+            self.profiling = True
+            self.push = profiler.push
+            self.pop = profiler.pop
+            self.frame = profiler.frame
+            self.alu_op = profiler.alu_op
+            self.jmp_op = profiler.jmp_op
+            self.helper_call = profiler.helper_call
+            self.profile_count = profiler.count
+            # A prune decision is the one event both parts consume.
+            self.verify_prune = (
+                profiler.prune if flight is None else self._prune_both
+            )
+        self.verifier_hooks = flight is not None or profiler is not None
+
+    def replace(self, **parts) -> "Observer":
+        """A new observer with ``parts`` swapped and the rest shared."""
+        kept = {
+            "metrics": self.metrics,
+            "trace": self.trace,
+            "flight": self.flight,
+            "profiler": self.profiler,
+            "frontier": self.frontier,
+            "heartbeat": self.heartbeat,
+        }
+        kept.update(parts)
+        return Observer(**kept)
+
+    def _prune_both(self, idx: int, point: str, outcome: str) -> None:
+        self.flight.prune(idx, point, outcome)
+        self.profiler.prune(idx, point, outcome)
+
+    # -- metrics ------------------------------------------------------------
+
+    def counter(self, name: str, n: int = 1) -> None:
+        pass
+
+    def gauge_max(self, name: str, value: float) -> None:
+        pass
+
+    def observe(self, name: str, value: float, buckets=None) -> None:
+        pass
+
+    def wall(self, name: str, seconds: float) -> None:
+        pass
+
+    def observe_time(self, name: str, seconds: float) -> None:
+        pass
+
+    # -- trace --------------------------------------------------------------
+
+    def event(self, name: str, **attrs) -> None:
+        pass
+
+    def span(self, name: str, **attrs):
+        return _IDLE
+
+    def close(self) -> None:
+        pass
+
+    # -- verifier decisions (flight recorder) --------------------------------
+
+    def verify_begin(self, program, n_insns: int = 0) -> None:
+        pass
+
+    def verify_step(self, idx: int, state) -> None:
+        pass
+
+    def verify_prune(self, idx: int, point: str, outcome: str) -> None:
+        pass
+
+    def verify_refine(self, idx: int, reg: str, detail: str) -> None:
+        pass
+
+    def verify_patch(self, idx: int, kind: str, detail: str) -> None:
+        pass
+
+    def verify_verdict(self, verdict: str, *, errno=None, insn: int = -1,
+                       message: str = "") -> None:
+        pass
+
+    # -- profiler -----------------------------------------------------------
+
+    def push(self, name: str) -> None:
+        pass
+
+    def pop(self) -> None:
+        pass
+
+    def frame(self, name: str):
+        return _IDLE
+
+    def alu_op(self, op, is64: bool) -> None:
+        pass
+
+    def jmp_op(self, op, is64: bool) -> None:
+        pass
+
+    def helper_call(self, name: str) -> None:
+        pass
+
+    def profile_count(self, name: str, n: int = 1) -> None:
+        pass
 
 
-def recorder():
-    """The process-current trace recorder (``enabled`` is the gate)."""
-    return _current_recorder
+_current = Observer()
 
 
-def flight():
-    """The process-current flight recorder (``enabled`` is the gate)."""
-    return _current_flight
+def current() -> Observer:
+    """The process-current observer (a no-op ``Observer()`` by default)."""
+    return _current
 
 
-def profiler():
-    """The process-current verifier profiler (``enabled`` is the gate)."""
-    return _current_profiler
-
-
-def install(
-    registry=None,
-    trace_recorder=None,
-    flight_recorder=None,
-    profiler=None,
-) -> tuple:
-    """Make the given sinks current; returns the previous sinks.
+def install(observer) -> Observer:
+    """Make ``observer`` current; returns the previous one.
 
     Pass the returned token to :func:`restore` (in a ``finally``) so
-    nested campaigns — e.g. the oracle's differential replay spinning
-    up inner kernels — compose instead of clobbering each other.  The
-    token is opaque; callers must not depend on its shape.
+    nested installs — an explain inside a campaign, a verdict-cache
+    miss teeing the metrics — compose instead of clobbering each other.
+    A bare :class:`MetricsRegistry` is accepted as
+    ``Observer(metrics=registry)``.
     """
-    global _current_metrics, _current_recorder, _current_flight
-    global _current_profiler
-    token = (
-        _current_metrics,
-        _current_recorder,
-        _current_flight,
-        _current_profiler,
+    global _current
+    token = _current
+    _current = (
+        observer if isinstance(observer, Observer)
+        else Observer(metrics=observer)
     )
-    _current_metrics = registry if registry is not None else _NULL_METRICS
-    _current_recorder = (
-        trace_recorder if trace_recorder is not None else NULL_RECORDER
-    )
-    _current_flight = (
-        flight_recorder if flight_recorder is not None else NULL_FLIGHT
-    )
-    _current_profiler = profiler if profiler is not None else NULL_PROFILER
     return token
 
 
-def restore(token: tuple) -> None:
-    """Reinstate the sinks that were current before :func:`install`."""
-    global _current_metrics, _current_recorder, _current_flight
-    global _current_profiler
-    _current_metrics, _current_recorder = token[0], token[1]
-    # Tokens minted before the flight recorder / profiler existed are
-    # shorter tuples; missing slots restore to the null sinks.
-    _current_flight = token[2] if len(token) > 2 else NULL_FLIGHT
-    _current_profiler = token[3] if len(token) > 3 else NULL_PROFILER
+def restore(token: Observer) -> None:
+    """Reinstate the observer that was current before :func:`install`."""
+    global _current
+    _current = token

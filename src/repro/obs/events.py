@@ -14,10 +14,10 @@ rejection explainer (:mod:`repro.obs.explain`) can reconstruct *why*.
 
 Design constraints, in order:
 
-- **Disabled must be free.**  The process-current default is
-  :data:`NULL_FLIGHT`, whose ``enabled`` is a class attribute
-  ``False``; hot paths guard every emission with one attribute read,
-  exactly like the trace recorder's ``rec.enabled`` gate.  The
+- **Disabled must be free.**  Without a recorder the verifier's
+  decision events are the current observer's no-ops
+  (:class:`repro.obs.Observer`), and hot paths that would format an
+  event's text first test the observer's ``flight_level``.  The
   benchmark suite holds this to the repo-wide <=5% disabled-overhead
   budget (``benchmarks/test_throughput.py``).
 - **Events are deterministic.**  No wall-clock timestamps, no object
@@ -56,8 +56,6 @@ from collections import deque
 __all__ = [
     "DEFAULT_CAPACITY",
     "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
     "reg_summary",
 ]
 
@@ -81,43 +79,6 @@ def reg_summary(state) -> dict[str, str]:
     }
 
 
-class NullFlightRecorder:
-    """Disabled recorder: every emission is a no-op.
-
-    ``enabled``/``level`` are class attributes so the hot-path guard
-    (`fl.enabled`) costs one attribute read and no per-instance dict.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    level = 0
-
-    def begin(self, program, n_insns: int = 0) -> None:
-        pass
-
-    def step(self, idx, state) -> None:
-        pass
-
-    def prune(self, idx, point, outcome) -> None:
-        pass
-
-    def refine(self, idx, reg, detail) -> None:
-        pass
-
-    def patch(self, idx, kind, detail) -> None:
-        pass
-
-    def verdict(self, verdict, *, errno=None, insn=-1, message="") -> None:
-        pass
-
-    def snapshot(self) -> list:
-        return []
-
-
-NULL_FLIGHT = NullFlightRecorder()
-
-
 class FlightRecorder:
     """Bounded per-verification decision log.
 
@@ -126,8 +87,6 @@ class FlightRecorder:
     2 additionally snapshots the abstract register file at every step
     — what the explainer needs to show the offending state.
     """
-
-    enabled = True
 
     def __init__(
         self, capacity: int = DEFAULT_CAPACITY, level: int = 2

@@ -327,8 +327,8 @@ def explain_program(
     """Verify ``prog`` under a level-2 flight recorder and explain.
 
     Returns ``None`` when the program is accepted.  The current
-    metrics/trace sinks are preserved — only the flight slot changes —
-    and restored on exit.
+    observer keeps its other parts — only its flight recorder is
+    swapped — and is reinstated on exit.
     """
     from repro import obs
     from repro.errors import BpfError, InvariantViolation, VerifierReject
@@ -336,10 +336,7 @@ def explain_program(
     from repro.verifier.log import final_message
 
     recorder = FlightRecorder(level=2)
-    # Preserve the metrics/trace/profiler sinks — only the flight slot
-    # changes for the duration of the explain.
-    token = obs.install(obs.metrics(), obs.recorder(), recorder,
-                        obs.profiler())
+    token = obs.install(obs.current().replace(flight=recorder))
     try:
         kernel.prog_load(
             prog, sanitize=sanitize, check_invariants=check_invariants

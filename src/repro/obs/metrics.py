@@ -2,7 +2,7 @@
 
 The registry is the aggregation half of the observability layer.  One
 instance lives per campaign shard, components increment it through the
-process-current holder in :mod:`repro.obs`, and the resulting
+current observer (:class:`repro.obs.Observer`), and the resulting
 :meth:`MetricsRegistry.snapshot` travels back to the parent inside
 ``ShardResult``, where snapshots from every shard merge with the same
 worker-count-invariance contract the rest of the merge obeys:
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
     "MetricsRegistry",
-    "NullMetrics",
     "cache_hit_rates",
     "merge_snapshots",
     "strip_wall_fields",
@@ -137,34 +136,6 @@ class MetricsRegistry:
                 },
             },
         }
-
-
-class NullMetrics:
-    """Default sink: every method is a no-op.
-
-    Installed when no campaign is running so library code can call
-    ``obs.metrics().counter(...)`` unconditionally — the disabled cost
-    is one attribute lookup and an empty call.
-    """
-
-    def counter(self, name: str, n: int = 1) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float,
-                buckets: tuple[float, ...] = DEFAULT_SIZE_BUCKETS) -> None:
-        pass
-
-    def wall(self, name: str, seconds: float) -> None:
-        pass
-
-    def observe_time(self, name: str, seconds: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return empty_snapshot()
 
 
 def empty_snapshot() -> dict:

@@ -25,10 +25,9 @@ which is why the campaign wraps the whole load path in one ``verify``
 root: per-family self times then account for (nearly) the entire
 measured verify phase.
 
-The disabled default is :data:`NULL_PROFILER`, a ``NullProfiler``
-following the ``NULL_FLIGHT`` pattern: instrumented components fetch
-``obs.profiler()`` once, keep ``None`` when disabled, and the hot-path
-cost is one ``is not None`` test.
+A campaign run with ``profile`` on attaches a profiler to its shard
+observer (:class:`repro.obs.Observer`), which routes frames and op
+counts here; without one, those events are the observer's no-ops.
 """
 
 from __future__ import annotations
@@ -37,50 +36,11 @@ import time
 from collections import Counter
 
 __all__ = [
-    "NullProfiler",
     "VerifierProfiler",
-    "NULL_PROFILER",
-    "frame_of",
     "merge_profiles",
     "strip_profile_wall",
     "render_profile",
 ]
-
-
-class _NullFrame:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_FRAME = _NullFrame()
-
-
-class NullProfiler:
-    """Profiling disabled: every operation is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
-    def frame(self, name: str):
-        return _NULL_FRAME
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-NULL_PROFILER = NullProfiler()
 
 
 class _Frame:
@@ -101,24 +61,14 @@ class _Frame:
         return False
 
 
-def frame_of(profiler, name: str):
-    """A frame context manager that is a shared no-op when disabled."""
-    if profiler is None or not profiler.enabled:
-        return _NULL_FRAME
-    return _Frame(profiler, name)
-
-
 class VerifierProfiler:
     """Path-keyed frame tree plus flat exact counters.
 
     ``push``/``pop`` are the hot-loop form (no allocation beyond the
-    stack entry); ``frame`` wraps them for ``with`` blocks.  Counter
-    attributes (``alu_ops``/``jmp_ops``/``helpers``/``ops``) are
-    mutated directly by the instrumentation hooks — attribute access
-    plus one Counter update is the whole enabled cost per event.
+    stack entry); ``frame`` wraps them for ``with`` blocks.  The
+    counting methods build their counter keys themselves, so callers
+    pass raw values and pay nothing when no profiler listens.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         #: frame path -> [hit count, cumulative seconds, self seconds]
@@ -153,6 +103,21 @@ class VerifierProfiler:
 
     def frame(self, name: str) -> _Frame:
         return _Frame(self, name)
+
+    def alu_op(self, op, is64: bool) -> None:
+        self.alu_ops[f"{op.name}{'64' if is64 else '32'}"] += 1
+
+    def jmp_op(self, op, is64: bool) -> None:
+        self.jmp_ops[f"{op.name}{'' if is64 else '32'}"] += 1
+
+    def helper_call(self, name: str) -> None:
+        self.helpers[name] += 1
+
+    def prune(self, idx: int, point: str, outcome: str) -> None:
+        self.ops[f"{point}.{outcome}"] += 1
+
+    def count(self, name: str, n: int = 1) -> None:
+        self.ops[name] += n
 
     def snapshot(self) -> dict:
         """Plain-dict form: exact counts and wall times segregated."""

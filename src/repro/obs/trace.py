@@ -6,21 +6,18 @@ happens, with timestamps from :func:`time.monotonic` relative to the
 recorder's creation (so traces from different shards are each
 internally ordered, and never pretend to share a clock).
 
-Two recorders implement the same duck-typed interface:
-
-- :class:`NullRecorder` — the default.  ``enabled`` is ``False``,
-  ``event`` is a no-op, ``span`` hands back a shared do-nothing context
-  manager.  Hot paths either skip work behind ``if rec.enabled`` or
-  just call through; the disabled cost is one method call.
-- :class:`JsonlTraceRecorder` — appends one JSON object per line:
-  ``{"v": 1, "ts": ..., "kind": "event"|"span", "name": ..., ...attrs}``
-  with ``"dur"`` added on spans.  Keys are sorted so the output is
-  stable, and every record carries the ``"v"`` schema version so
-  consumers can evolve the format without sniffing.  Path-backed
-  recorders rotate: once a file exceeds the byte cap
-  (``REPRO_TRACE_MAX_BYTES``, default 64 MiB) it is renamed to
-  ``<path>.1`` (replacing any previous rotation) and a fresh file is
-  started, so an unattended campaign cannot fill the disk unboundedly.
+:class:`JsonlTraceRecorder` appends one JSON object per line:
+``{"v": 1, "ts": ..., "kind": "event"|"span", "name": ..., ...attrs}``
+with ``"dur"`` added on spans.  Keys are sorted so the output is
+stable, and every record carries the ``"v"`` schema version so
+consumers can evolve the format without sniffing.  Path-backed
+recorders rotate: once a file exceeds the byte cap
+(``REPRO_TRACE_MAX_BYTES``, default 64 MiB) it is renamed to
+``<path>.1`` (replacing any previous rotation) and a fresh file is
+started, so an unattended campaign cannot fill the disk unboundedly.
+Without a recorder, trace events and spans are the current observer's
+no-ops (:class:`repro.obs.Observer`); hot paths skip building event
+attributes unless the observer's ``tracing`` flag is set.
 
 :class:`PhaseClock` is the single phase timer the campaign loop runs
 on.  Each ``with clock.phase("verify"):`` block accumulates its
@@ -28,7 +25,8 @@ duration exactly once — in the ``finally`` of the context manager — no
 matter how the block exits (return, ``VerifierReject``, any other
 exception), which fixes the triple-increment paths the old inline
 timers had.  The same exit point feeds the wall-clock histogram in the
-metrics registry and, when tracing is on, emits the phase as a span.
+metrics registry and, when tracing is on, emits the phase as an
+event — both through the observer the clock was built with.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ from collections import Counter
 from contextlib import contextmanager
 
 __all__ = [
-    "NullRecorder",
     "JsonlTraceRecorder",
     "PhaseClock",
-    "NULL_RECORDER",
     "RECORD_VERSION",
     "DEFAULT_MAX_BYTES",
 ]
@@ -53,37 +49,6 @@ RECORD_VERSION = 1
 
 #: Default per-file byte cap before a path-backed recorder rotates.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullRecorder:
-    """Recording disabled: every operation is a no-op."""
-
-    enabled = False
-
-    def event(self, name: str, **attrs) -> None:
-        pass
-
-    def span(self, name: str, **attrs):
-        return _NULL_SPAN
-
-    def close(self) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
 
 
 class _Span:
@@ -116,8 +81,6 @@ class _Span:
 
 class JsonlTraceRecorder:
     """Writes trace events to a JSONL file (or any text stream)."""
-
-    enabled = True
 
     def __init__(self, path_or_stream, max_bytes: int | None = None) -> None:
         if max_bytes is None:
@@ -177,15 +140,14 @@ class JsonlTraceRecorder:
 class PhaseClock:
     """Accumulates named phase durations, once per phase exit.
 
-    ``seconds`` maps phase name to total accumulated time.  A metrics
-    registry (or anything with ``observe_time``) and a recorder can be
-    attached; both are fed from the same single exit point.
+    ``seconds`` maps phase name to total accumulated time.  Each exit
+    also records the duration into ``observer``'s wall-clock histogram
+    and, when it traces, as a ``phase.<name>`` event.
     """
 
-    def __init__(self, metrics=None, recorder: NullRecorder | None = None):
+    def __init__(self, observer):
         self.seconds: Counter = Counter()
-        self.metrics = metrics
-        self.recorder = recorder or NULL_RECORDER
+        self.observer = observer
 
     @contextmanager
     def phase(self, name: str, **attrs):
@@ -195,8 +157,8 @@ class PhaseClock:
         finally:
             elapsed = time.perf_counter() - started
             self.seconds[name] += elapsed
-            if self.metrics is not None:
-                self.metrics.observe_time(f"phase.{name}.seconds", elapsed)
-            if self.recorder.enabled:
-                self.recorder.event(f"phase.{name}", dur=round(elapsed, 6),
-                                    **attrs)
+            observer = self.observer
+            observer.observe_time(f"phase.{name}.seconds", elapsed)
+            if observer.tracing:
+                observer.event(f"phase.{name}", dur=round(elapsed, 6),
+                               **attrs)

@@ -224,18 +224,17 @@ class Interpreter:
         instruction, which keeps the disabled overhead within the
         trace layer's budget (DESIGN.md "Observability").
         """
-        rec = obs.recorder()
+        ob = obs.current()
         try:
-            if rec.enabled:
-                with rec.span("interp.run", prog=self.verified.name):
+            if ob.tracing:
+                with ob.span("interp.run", prog=self.verified.name):
                     return self._run_loop()
             return self._run_loop()
         finally:
-            m = obs.metrics()
-            m.counter("interp.runs")
-            m.counter("interp.insns_executed", self.stats.insns_executed)
-            m.counter("interp.helper_calls", self.stats.helper_calls)
-            m.counter("interp.sanitizer_checks", self.stats.sanitizer_checks)
+            ob.counter("interp.runs")
+            ob.counter("interp.insns_executed", self.stats.insns_executed)
+            ob.counter("interp.helper_calls", self.stats.helper_calls)
+            ob.counter("interp.sanitizer_checks", self.stats.sanitizer_checks)
 
     def _run_loop(self) -> int:
         regs = [0] * 12

@@ -64,18 +64,13 @@ def build_insertions(
     runtime re-keys it by the final index of the ``call`` instruction
     after patching).
     """
-    profiler = obs.profiler()
-    if profiler.enabled:
-        profiler.push("sanitize.instrument")
-    try:
-        return _build_insertions(insns, probe_mem, profiler)
-    finally:
-        if profiler.enabled:
-            profiler.pop()
+    ob = obs.current()
+    with ob.frame("sanitize.instrument"):
+        return _build_insertions(insns, probe_mem, ob)
 
 
 def _build_insertions(
-    insns: list[Insn], probe_mem: set[int], profiler
+    insns: list[Insn], probe_mem: set[int], ob
 ) -> tuple[dict[int, list[Insn]], dict[int, SanitizeSite]]:
     insertions: dict[int, list[Insn]] = {}
     sites: dict[int, SanitizeSite] = {}
@@ -114,14 +109,11 @@ def _build_insertions(
             probe_mem=idx in probe_mem,
         )
 
-    m = obs.metrics()
-    m.counter("sanitizer.sites", len(sites))
-    m.counter("sanitizer.skipped_r10", skipped_r10)
-    if profiler.enabled:
-        profiler.ops["sanitizer.sites"] += len(sites)
-        profiler.ops["sanitizer.skipped_r10"] += skipped_r10
-    rec = obs.recorder()
-    if rec.enabled:
-        rec.event("sanitizer.instrument", sites=len(sites),
-                  skipped_r10=skipped_r10, insns=len(insns))
+    ob.counter("sanitizer.sites", len(sites))
+    ob.counter("sanitizer.skipped_r10", skipped_r10)
+    ob.profile_count("sanitizer.sites", len(sites))
+    ob.profile_count("sanitizer.skipped_r10", skipped_r10)
+    if ob.tracing:
+        ob.event("sanitizer.instrument", sites=len(sites),
+                 skipped_r10=skipped_r10, insns=len(insns))
     return insertions, sites

@@ -406,9 +406,9 @@ def check_alu(v, state, insn: Insn) -> None:
     op = insn.alu_op
 
     # Profiler op-kind attribution (scalar ALU is the hottest opcode
-    # class, so the disabled cost must stay at one attribute test).
-    if v._prof is not None:
-        v._prof.alu_ops[f"{op.name}{'64' if is64 else '32'}"] += 1
+    # class, so the disabled cost must stay at one flag test).
+    if v.observer.profiling:
+        v.observer.alu_op(op, is64)
 
     if insn.dst == Reg.R10:
         v.reject(errno.EACCES, "frame pointer is read only")
@@ -512,8 +512,8 @@ def check_alu(v, state, insn: Insn) -> None:
     # Bound-deduction trail for the flight recorder (level 2 only:
     # scalar ALU is the hottest opcode class, so the disabled cost must
     # stay at this one attribute comparison).
-    if v._flight.level >= 2:
-        v._flight.refine(
+    if v.observer.flight_level >= 2:
+        v.observer.verify_refine(
             v.cur_insn_idx, f"R{insn.dst}", f"{op.name} -> {dst}"
         )
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import VerifierReject
-from repro.obs.profile import frame_of
 from repro.ebpf.insn import Insn
 from repro.ebpf.opcodes import (
     AluOp,
@@ -246,16 +245,9 @@ class Verifier:
         self.helper_ids: set[int] = set()
         self.uses_lock_helpers = False
         self.cur_insn_idx = 0
-        #: process-current flight recorder (NULL_FLIGHT when disabled;
-        #: every emission below is guarded on ``.enabled``/``.level``)
-        self._flight = obs.flight()
-        #: the env emits prune-decision events only when recording
-        self.env.flight = self._flight if self._flight.enabled else None
-        #: hierarchical profiler (None when disabled — every hook below
-        #: and in checks.py pays one ``is not None`` test)
-        prof = obs.profiler()
-        self._prof = prof if prof.enabled else None
-        self.env.profiler = self._prof
+        #: the current observer; per-instruction hooks here and in
+        #: checks.py test one of its flags before emitting
+        self.observer = obs.current()
         self.max_stack_depth = 0
         self._prune_points: set[int] = set()
         #: targets of back edges: pruning there means an infinite loop
@@ -271,18 +263,16 @@ class Verifier:
 
     def reject(self, err: int, message: str) -> None:
         self.log.write(message)
-        m = obs.metrics()
-        m.counter("verifier.rejected")
-        m.observe("verifier.insns_processed", self.env.insns_processed)
-        self._emit_prune_metrics(m)
-        rec = obs.recorder()
-        if rec.enabled:
-            rec.event("verifier.reject", errno=err, insn=self.cur_insn_idx,
-                      message=message)
-        if self._flight.enabled:
-            self._flight.verdict(
-                "reject", errno=err, insn=self.cur_insn_idx, message=message
-            )
+        ob = self.observer
+        ob.counter("verifier.rejected")
+        ob.observe("verifier.insns_processed", self.env.insns_processed)
+        self._emit_prune_metrics(ob)
+        if ob.tracing:
+            ob.event("verifier.reject", errno=err, insn=self.cur_insn_idx,
+                     message=message)
+        ob.verify_verdict(
+            "reject", errno=err, insn=self.cur_insn_idx, message=message
+        )
         raise VerifierReject(err, message, log=self.log.text())
 
     def has_flaw(self, flaw: Flaw) -> bool:
@@ -290,15 +280,15 @@ class Verifier:
 
     def mark_probe_mem(self, idx: int) -> None:
         self.probe_mem.add(idx)
-        if self._flight.enabled:
-            self._flight.patch(
+        if self.observer.flight_level:
+            self.observer.verify_patch(
                 idx, "probe_mem", "load rewritten as fault-handled PROBE_MEM"
             )
 
     def record_alu_limit(self, insn_limit: int, op: AluOp) -> None:
         self.alu_limits[self.cur_insn_idx] = (insn_limit, int(op))
-        if self._flight.enabled:
-            self._flight.patch(
+        if self.observer.flight_level:
+            self.observer.verify_patch(
                 self.cur_insn_idx, "alu_limit",
                 f"limit={insn_limit} op={AluOp(op).name}",
             )
@@ -307,15 +297,15 @@ class Verifier:
         self.helper_ids.add(int(proto.helper_id))
         if proto.acquires_lock:
             self.uses_lock_helpers = True
-        if self._prof is not None:
-            self._prof.helpers[proto.name] += 1
+        if self.observer.profiling:
+            self.observer.helper_call(proto.name)
 
     def note_kfunc(self, proto) -> None:
         self.helper_ids.add(proto.btf_id)
-        if self._prof is not None:
-            self._prof.helpers[
+        if self.observer.profiling:
+            self.observer.helper_call(
                 getattr(proto, "name", f"kfunc#{proto.btf_id}")
-            ] += 1
+            )
 
     # --- structural validation ------------------------------------------------
 
@@ -463,13 +453,10 @@ class Verifier:
 
     def verify(self) -> VerifiedProgram:
         """Run the verifier; returns the rewritten program or raises."""
-        m = obs.metrics()
-        m.counter("verifier.programs")
-        if self._flight.enabled:
-            self._flight.begin(self.prog.name, len(self.insns))
-        rec = obs.recorder()
-        prof = self._prof
-        if not rec.enabled and prof is None:
+        ob = self.observer
+        ob.counter("verifier.programs")
+        ob.verify_begin(self.prog.name, len(self.insns))
+        if not (ob.tracing or ob.profiling):
             # Hot path: no spans, no frames, just the pipeline.
             self._check_structure()
             self._resolve_pseudo()
@@ -479,40 +466,37 @@ class Verifier:
                 self._do_check()
             verified = self._fixup()
         else:
-            # Recorder spans are shared no-ops when only profiling (and
-            # vice versa), so one instrumented pipeline serves both.
-            with rec.span("verifier.verify", insns=len(self.insns),
-                          prog=self.prog.name):
-                with rec.span("verifier.check_structure"), \
-                        frame_of(prof, "structure"):
+            # Spans are no-ops when only profiling and frames when only
+            # tracing, so one instrumented pipeline serves both.
+            with ob.span("verifier.verify", insns=len(self.insns),
+                         prog=self.prog.name):
+                with ob.span("verifier.check_structure"), \
+                        ob.frame("structure"):
                     self._check_structure()
-                with rec.span("verifier.resolve_pseudo"), \
-                        frame_of(prof, "resolve"):
+                with ob.span("verifier.resolve_pseudo"), ob.frame("resolve"):
                     self._resolve_pseudo()
-                with rec.span("verifier.do_check"), \
-                        frame_of(prof, "do_check"):
+                with ob.span("verifier.do_check"), ob.frame("do_check"):
                     if self._cached_check is not None:
                         self._restore_check(self._cached_check)
                     else:
                         self._do_check()
-                with rec.span("verifier.fixup"), frame_of(prof, "fixup"):
+                with ob.span("verifier.fixup"), ob.frame("fixup"):
                     verified = self._fixup()
-        m.counter("verifier.accepted")
-        m.observe("verifier.insns_processed", self.env.insns_processed)
-        m.observe("verifier.max_stack_depth", self.max_stack_depth)
-        m.gauge_max("verifier.peak_insns_processed", self.env.insns_processed)
-        self._emit_prune_metrics(m)
-        if self._flight.enabled:
-            self._flight.verdict("accept", insn=self.cur_insn_idx)
+        ob.counter("verifier.accepted")
+        ob.observe("verifier.insns_processed", self.env.insns_processed)
+        ob.observe("verifier.max_stack_depth", self.max_stack_depth)
+        ob.gauge_max("verifier.peak_insns_processed", self.env.insns_processed)
+        self._emit_prune_metrics(ob)
+        ob.verify_verdict("accept", insn=self.cur_insn_idx)
         verified.check_summary = self._summarize_check()
         return verified
 
-    def _emit_prune_metrics(self, m) -> None:
+    def _emit_prune_metrics(self, ob) -> None:
         env = self.env
-        m.counter("verifier.prune.exact_hits", env.prune_exact_hits)
-        m.counter("verifier.prune.scan_hits", env.prune_scan_hits)
-        m.counter("verifier.prune.misses", env.prune_misses)
-        m.counter("verifier.prune.evictions", env.prune_evictions)
+        ob.counter("verifier.prune.exact_hits", env.prune_exact_hits)
+        ob.counter("verifier.prune.scan_hits", env.prune_scan_hits)
+        ob.counter("verifier.prune.misses", env.prune_misses)
+        ob.counter("verifier.prune.evictions", env.prune_evictions)
 
     def _summarize_check(self) -> CheckSummary:
         env = self.env
@@ -562,8 +546,10 @@ class Verifier:
     def _do_check(self) -> None:
         state: VerifierState | None = self._initial_state()
         env = self.env
-        flight = self._flight if self._flight.enabled else None
-        prof = self._prof
+        ob = self.observer
+        # The one observer test per instruction: with nothing listening
+        # to the verifier's interior, no hook below runs at all.
+        hooks = ob.verifier_hooks
         while state is not None:
             env.insns_processed += 1
             if env.insns_processed > env.complexity_limit:
@@ -579,8 +565,6 @@ class Verifier:
             if insn.is_filler():
                 self.reject(errno.EINVAL, f"reached ldimm64 filler at {idx}")
             self.cur_insn_idx = idx
-            if flight is not None:
-                flight.step(idx, state)
 
             if self.log.level >= 2:
                 from repro.ebpf.disasm import format_insn
@@ -592,10 +576,9 @@ class Verifier:
                 )
                 self.log.write(f"{idx}: {format_insn(insn)} ; {regs_text}")
 
-            if self.sanity is not None and idx in self._prune_points:
-                self.sanity.check_state(state, "prune", idx)
-
-            if prof is None:
+            if not hooks:
+                if self.sanity is not None and idx in self._prune_points:
+                    self.sanity.check_state(state, "prune", idx)
                 if idx in self._loop_headers:
                     # Kernel behaviour: reaching a back-edge target
                     # with a state subsumed by one already verified
@@ -607,29 +590,35 @@ class Verifier:
                     continue
                 state = self._step(state, insn)
             else:
+                # The step event precedes the sanity checkpoint, so an
+                # invariant violation's ring ends at the offending insn.
+                ob.verify_step(idx, state)
+                if self.sanity is not None and idx in self._prune_points:
+                    self.sanity.check_state(state, "prune", idx)
                 if idx in self._loop_headers:
-                    prof.push("prune")
+                    ob.push("prune")
                     try:
-                        if env.loop_header_seen(state):
-                            self.reject(
-                                errno.EINVAL, "infinite loop detected"
-                            )
+                        hit = env.loop_header_seen(state)
                     finally:
-                        prof.pop()
+                        ob.pop()
+                    ob.verify_prune(idx, "loop", hit or "miss")
+                    if hit:
+                        self.reject(errno.EINVAL, "infinite loop detected")
                 elif idx in self._prune_points:
-                    prof.push("prune")
+                    ob.push("prune")
                     try:
-                        pruned = env.is_visited(state)
+                        hit = env.is_visited(state)
                     finally:
-                        prof.pop()
-                    if pruned:
+                        ob.pop()
+                    ob.verify_prune(idx, "prune", hit or "miss")
+                    if hit:
                         state = env.pop_state()
                         continue
-                prof.push(_profile_family(insn))
+                ob.push(_profile_family(insn))
                 try:
                     state = self._step(state, insn)
                 finally:
-                    prof.pop()
+                    ob.pop()
             if state is None:
                 state = env.pop_state()
 
@@ -866,8 +855,8 @@ class Verifier:
             )
 
         op = insn.jmp_op
-        if self._prof is not None:
-            self._prof.jmp_ops[f"{op.name}{'' if is64 else '32'}"] += 1
+        if self.observer.profiling:
+            self.observer.jmp_op(op, is64)
         taken = branches.is_branch_taken(dst, src, op, is64)
         if taken == -1 and insn.src_bit == Src.X:
             swapped = branches.is_branch_taken(src, dst, _SWAP_OP.get(op, op), is64)
@@ -903,8 +892,8 @@ class Verifier:
         self._apply_branch_knowledge(
             insn, state, taken_state, t_dst, t_src, f_dst, f_src, is64
         )
-        if self._flight.enabled:
-            self._flight.refine(
+        if self.observer.flight_level:
+            self.observer.verify_refine(
                 idx, f"R{insn.dst}",
                 f"{insn.jmp_op.name} taken:{t_dst} else:{f_dst}",
             )

@@ -366,13 +366,6 @@ class VerifierEnv:
         self.prune_scan_hits = 0
         self.prune_misses = 0
         self.prune_evictions = 0
-        #: flight recorder for prune-decision events (None = disabled;
-        #: the Verifier sets this only when recording is on, so the
-        #: hot path pays one ``is not None`` test per prune decision)
-        self.flight = None
-        #: hierarchical profiler for prune-outcome counts (same
-        #: None-when-disabled contract as ``flight``)
-        self.profiler = None
 
     def new_id(self) -> int:
         self._next_id += 1
@@ -391,63 +384,51 @@ class VerifierEnv:
         index: dict[int, OrderedDict[tuple, VerifierState]],
         state: VerifierState,
         cap: int,
-        point: str,
-    ) -> bool:
+    ) -> str | None:
         """Shared subsumption machinery for prune points and loop headers.
 
         Exact fingerprint hit: one dict probe proves subsumption.
         Miss: ordered ``states_equal`` scan over the stored states —
-        the boolean is an OR over the set, so the verdict is identical
-        to the scan-only implementation.  Either way the matched entry
-        is freshened; a genuinely new state is stored (copy-on-write
+        the verdict is an OR over the set, so it is identical to the
+        scan-only implementation.  Either way the matched entry is
+        freshened; a genuinely new state is stored (copy-on-write
         snapshot) and the least-recently-useful entry evicted beyond
-        ``cap``.
+        ``cap``.  Returns how the state was found subsumed
+        (``"exact-hit"`` or ``"scan-hit"``), or ``None`` for a new one.
         """
         seen = index.get(state.insn_idx)
         if seen is None:
             seen = index[state.insn_idx] = OrderedDict()
         key = state_fingerprint(state)
-        flight = self.flight
-        profiler = self.profiler
         if key in seen:
             seen.move_to_end(key)
             self.prune_exact_hits += 1
-            if flight is not None:
-                flight.prune(state.insn_idx, point, "exact-hit")
-            if profiler is not None:
-                profiler.ops[f"{point}.exact-hit"] += 1
-            return True
+            return "exact-hit"
         for old_key, old in seen.items():
             if states_equal(old, state):
                 seen.move_to_end(old_key)
                 self.prune_scan_hits += 1
-                if flight is not None:
-                    flight.prune(state.insn_idx, point, "scan-hit")
-                if profiler is not None:
-                    profiler.ops[f"{point}.scan-hit"] += 1
-                return True
+                return "scan-hit"
         self.prune_misses += 1
-        if flight is not None:
-            flight.prune(state.insn_idx, point, "miss")
-        if profiler is not None:
-            profiler.ops[f"{point}.miss"] += 1
         seen[key] = state.clone()
         if len(seen) > cap:
             seen.popitem(last=False)
             self.prune_evictions += 1
-        return False
+        return None
 
-    def is_visited(self, state: VerifierState) -> bool:
-        """Prune if subsumed; otherwise remember this state."""
-        if self._seen(self.explored, state, PRUNE_CAP, "prune"):
+    def is_visited(self, state: VerifierState) -> str | None:
+        """Prune if subsumed (returns the hit kind, see :meth:`_seen`);
+        otherwise remember this state and return ``None``."""
+        hit = self._seen(self.explored, state, PRUNE_CAP)
+        if hit:
             self.states_pruned += 1
-            return True
-        return False
+        return hit
 
-    def loop_header_seen(self, state: VerifierState) -> bool:
+    def loop_header_seen(self, state: VerifierState) -> str | None:
         """Has an equivalent state reached this back-edge target before?
 
-        ``True`` means the program re-reached a loop header without
-        making progress — the caller rejects it as an infinite loop.
+        A hit (the kind, as :meth:`_seen` returns it) means the program
+        re-reached a loop header without making progress — the caller
+        rejects it as an infinite loop.
         """
-        return self._seen(self.loop_explored, state, LOOP_CAP, "loop")
+        return self._seen(self.loop_explored, state, LOOP_CAP)

@@ -63,7 +63,7 @@ class TestVerdictCacheUnit:
     def test_accept_hit_reuses_do_check(self):
         cache = VerdictCache()
         registry = MetricsRegistry()
-        token = obs.install(registry, None)
+        token = obs.install(registry)
         try:
             first, second = _load_twice(cache, _trivial)
         finally:
@@ -96,7 +96,7 @@ class TestVerdictCacheUnit:
     def test_reject_hit_replays_metrics(self):
         cache = VerdictCache()
         registry = MetricsRegistry()
-        token = obs.install(registry, None)
+        token = obs.install(registry)
         try:
             _load_twice(cache, _rejecting)
         finally:
@@ -150,7 +150,7 @@ class TestVerdictCacheUnit:
         assert len(cache) == 1
         # The trivial program was evicted; loading it again is a miss.
         registry = MetricsRegistry()
-        token = obs.install(registry, None)
+        token = obs.install(registry)
         try:
             cache.load(_kernel(), _trivial(), sanitize=True, coverage=None,
                        map_specs=(), kinds=frozenset())
@@ -200,13 +200,3 @@ class TestCampaignTransparency:
             uncached.metrics
         )
         assert cached.edge_samples == uncached.edge_samples
-
-    def test_cache_disabled_under_invariant_checking(self):
-        campaign = Campaign(CampaignConfig(check_invariants=True))
-        assert campaign.verdicts is None
-
-    def test_cache_disabled_under_tracing(self, tmp_path):
-        campaign = Campaign(
-            CampaignConfig(trace_path=str(tmp_path / "trace.jsonl"))
-        )
-        assert campaign.verdicts is None

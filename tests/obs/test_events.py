@@ -1,33 +1,25 @@
-"""Flight recorder unit tests: ring buffer, levels, null sink."""
+"""Flight recorder unit tests: ring buffer, levels, the disabled
+default (an observer without a flight recorder)."""
 
 import pytest
 
 from repro import obs
-from repro.obs.events import (
-    DEFAULT_CAPACITY,
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from repro.obs import Observer
+from repro.obs.events import DEFAULT_CAPACITY, FlightRecorder
 
 
 class TestNullFlightRecorder:
     def test_disabled_and_silent(self):
-        assert NULL_FLIGHT.enabled is False
-        assert NULL_FLIGHT.level == 0
-        NULL_FLIGHT.begin("p", 3)
-        NULL_FLIGHT.step(0, None)
-        NULL_FLIGHT.prune(1, "prune", "miss")
-        NULL_FLIGHT.refine(1, "R0", "detail")
-        NULL_FLIGHT.patch(1, "probe_mem", "detail")
-        NULL_FLIGHT.verdict("reject", errno=13, insn=1, message="m")
-        assert NULL_FLIGHT.snapshot() == []
-
-    def test_enabled_is_class_attribute(self):
-        # The hot path reads `.enabled` on the shared instance; a class
-        # attribute keeps the disabled check one dict lookup, no slots.
-        assert NullFlightRecorder.enabled is False
-        assert NULL_FLIGHT.__slots__ == ()
+        ob = Observer()
+        assert ob.flight is None
+        assert ob.flight_level == 0
+        assert ob.verifier_hooks is False
+        ob.verify_begin("p", 3)
+        ob.verify_step(0, None)
+        ob.verify_prune(1, "prune", "miss")
+        ob.verify_refine(1, "R0", "detail")
+        ob.verify_patch(1, "probe_mem", "detail")
+        ob.verify_verdict("reject", errno=13, insn=1, message="m")
 
 
 class TestFlightRecorder:
@@ -109,24 +101,18 @@ class TestFlightRecorder:
 
 class TestObsHolder:
     def test_default_flight_is_null(self):
-        assert obs.flight() is NULL_FLIGHT
+        assert obs.current().flight is None
+        assert obs.current().flight_level == 0
 
     def test_install_and_restore_flight(self):
         fr = FlightRecorder()
-        token = obs.install(obs.metrics(), obs.recorder(), fr)
+        token = obs.install(Observer(flight=fr))
         try:
-            assert obs.flight() is fr
+            assert obs.current().flight is fr
+            assert obs.current().flight_level == fr.level
         finally:
             obs.restore(token)
-        assert obs.flight() is NULL_FLIGHT
-
-    def test_restore_tolerates_legacy_two_tuple_token(self):
-        fr = FlightRecorder()
-        obs.install(obs.metrics(), obs.recorder(), fr)
-        # Tokens minted before the flight slot existed are two-tuples;
-        # restoring one must still clear the flight slot.
-        obs.restore((obs.metrics(), obs.recorder()))
-        assert obs.flight() is NULL_FLIGHT
+        assert obs.current().flight is None
 
 
 class TestVerifierIntegration:
@@ -139,7 +125,7 @@ class TestVerifierIntegration:
         selftest = next(iter(all_selftests_extended()))
         kernel = Kernel(PROFILES["patched"]())
         prog = selftest.build(kernel)
-        token = obs.install(obs.metrics(), obs.recorder(), recorder)
+        token = obs.install(obs.current().replace(flight=recorder))
         try:
             kernel.prog_load(prog, sanitize=sanitize)
         except (VerifierReject, BpfError):
@@ -172,13 +158,18 @@ class TestVerifierIntegration:
         assert all("regs" not in s for s in steps)
 
 
-@pytest.mark.parametrize("kind", ["verdict_cache_off"])
-def test_flight_disables_verdict_cache(kind):
+@pytest.mark.parametrize("flag", [
+    "check_invariants", "trace_path", "flight", "profile", "repair_feedback",
+])
+def test_flight_disables_verdict_cache(flag, tmp_path):
     # A cached verdict skips do_check, which would leave the ring
-    # holding a previous program's decisions — recording must win.
+    # holding a previous program's decisions (and the checker, trace,
+    # profiler and repair localisation without theirs) — every mode
+    # that observes do_check from the inside must win over the cache.
     from repro.fuzz.campaign import Campaign, CampaignConfig
 
-    recording = Campaign(CampaignConfig(budget=1, flight=True))
-    plain = Campaign(CampaignConfig(budget=1, flight=False))
-    assert recording.verdicts is None
+    value = str(tmp_path / "trace.jsonl") if flag == "trace_path" else True
+    observing = Campaign(CampaignConfig(budget=1, **{flag: value}))
+    plain = Campaign(CampaignConfig(budget=1))
+    assert observing.verdicts is None
     assert plain.verdicts is not None

@@ -9,8 +9,9 @@ Tentpole requirements covered here:
   bit-identical ``counts`` sections);
 - per-family self times sum to >=95% of the measured verify phase wall
   on a real campaign;
-- the disabled default is a shared no-op (``NULL_PROFILER``), and the
-  campaign only creates a profiler when ``config.profile`` is on.
+- the disabled default (an observer without a profiler) is a shared
+  no-op, and the campaign only creates a profiler when
+  ``config.profile`` is on.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import pytest
 from repro import obs
 from repro.fuzz.campaign import Campaign, CampaignConfig
 from repro.fuzz.parallel import ParallelCampaign
+from repro.obs import Observer
 from repro.obs.artifact import build_artifact, strip_wall
 from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
     VerifierProfiler,
-    frame_of,
     merge_profiles,
     render_profile,
     strip_profile_wall,
@@ -42,24 +41,26 @@ def profiled_result():
 
 class TestNullProfiler:
     def test_disabled_and_inert(self):
-        prof = NullProfiler()
-        assert prof.enabled is False
+        prof = Observer()
+        assert prof.profiling is False
         prof.push("x")
         prof.pop()
         with prof.frame("y"):
             pass
-        assert prof.snapshot() == {}
+        prof.alu_op(None, True)
+        prof.helper_call("h")
+        prof.profile_count("c", 2)
 
     def test_default_process_profiler_is_null(self):
-        assert obs.profiler() is NULL_PROFILER
-        assert obs.profiler().enabled is False
+        assert obs.current().profiler is None
+        assert obs.current().profiling is False
 
     def test_frame_of_none_is_shared_noop(self):
-        assert frame_of(None, "a") is frame_of(NULL_PROFILER, "b")
+        assert Observer().frame("a") is Observer().frame("b")
 
     def test_null_frame_swallows_nothing(self):
         with pytest.raises(RuntimeError):
-            with frame_of(None, "f"):
+            with Observer().frame("f"):
                 raise RuntimeError("propagates")
 
 
@@ -154,10 +155,6 @@ class TestCampaignIntegration:
     def test_profile_off_by_default(self):
         result = Campaign(CampaignConfig(budget=5, seed=0)).run()
         assert result.profile == {}
-
-    def test_profiling_disables_verdict_cache(self):
-        assert Campaign(CampaignConfig(profile=True)).verdicts is None
-        assert Campaign(CampaignConfig()).verdicts is not None
 
     def test_self_times_cover_verify_wall(self, profiled_result):
         # The acceptance floor: per-family self times must account for

@@ -1,4 +1,5 @@
-"""Trace-recorder tests: JSONL shape, null overhead, PhaseClock timing."""
+"""Trace-recorder tests: JSONL shape, the disabled default (an
+observer without a recorder), PhaseClock timing."""
 
 from __future__ import annotations
 
@@ -7,14 +8,8 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.trace import (
-    NULL_RECORDER,
-    RECORD_VERSION,
-    JsonlTraceRecorder,
-    NullRecorder,
-    PhaseClock,
-)
+from repro.obs import MetricsRegistry, Observer
+from repro.obs.trace import RECORD_VERSION, JsonlTraceRecorder, PhaseClock
 
 
 def parse_lines(stream: io.StringIO) -> list[dict]:
@@ -23,8 +18,8 @@ def parse_lines(stream: io.StringIO) -> list[dict]:
 
 class TestNullRecorder:
     def test_disabled_and_inert(self):
-        rec = NullRecorder()
-        assert rec.enabled is False
+        rec = Observer()
+        assert rec.tracing is False
         rec.event("x", a=1)
         with rec.span("y", b=2):
             pass
@@ -32,7 +27,7 @@ class TestNullRecorder:
 
     def test_null_span_swallows_nothing(self):
         with pytest.raises(RuntimeError):
-            with NULL_RECORDER.span("s"):
+            with Observer().span("s"):
                 raise RuntimeError("propagates")
 
 
@@ -144,7 +139,7 @@ class TestJsonlRecorder:
 
 class TestPhaseClock:
     def test_accumulates_across_blocks(self):
-        clock = PhaseClock()
+        clock = PhaseClock(Observer())
         with clock.phase("verify"):
             pass
         with clock.phase("verify"):
@@ -159,7 +154,7 @@ class TestPhaseClock:
         # that exits via an exception must be charged exactly once.
         from collections import Counter
 
-        clock = PhaseClock()
+        clock = PhaseClock(Observer())
         marks = []
 
         class Spy(Counter):
@@ -176,7 +171,9 @@ class TestPhaseClock:
     def test_feeds_metrics_and_recorder(self):
         stream = io.StringIO()
         reg = MetricsRegistry()
-        clock = PhaseClock(metrics=reg, recorder=JsonlTraceRecorder(stream))
+        clock = PhaseClock(
+            Observer(metrics=reg, trace=JsonlTraceRecorder(stream))
+        )
         with clock.phase("execute", run=3):
             pass
         snap = reg.snapshot()
