@@ -32,6 +32,9 @@ largely hardware-independent:
   prune index) may not *drop* by more than ``--max-hit-rate-drop`` —
   campaigns are seed-deterministic, so a falling hit rate means a
   cache key or lookup path regressed, not that the workload changed.
+  A rate that disappears from the current artifact fails too, unless
+  :data:`RETIRED_RATES` names it: the previous successful run still
+  carries a rate whose cache was deleted on purpose.
 
 Three more gates need only the **current** artifact, because the
 benchmark already measured each against a same-process baseline (a
@@ -65,6 +68,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+#: Cache hit rates deleted on purpose, with the reason.  The previous
+#: successful run may still carry one; it is reported and skipped
+#: rather than failed as "disappeared".
+RETIRED_RATES = {
+    "prune_exact_fraction": "the fingerprint prune index was deleted; "
+                            "every prune hit is now a states_equal scan hit",
+}
 
 
 def load_programs_per_sec(path: str) -> tuple[float, dict]:
@@ -111,6 +122,10 @@ def check_cache_rates(previous: dict, current: dict,
     for name in sorted(prev_rates):
         prev = prev_rates[name]
         cur = cur_rates.get(name)
+        if name in RETIRED_RATES:
+            print(f"trajectory: {name} retired ({RETIRED_RATES[name]}); "
+                  f"skipping")
+            continue
         if cur is None:
             print(f"trajectory: FAIL - cache rate {name} disappeared "
                   f"from the current artifact")

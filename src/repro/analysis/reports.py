@@ -238,22 +238,16 @@ def render_dashboard(artifact: dict) -> str:
              "cache.verdict.hits", "cache.verdict.misses"),
             ("tnum memo", "tnum_memo_hit_rate",
              "cache.tnum.hits", "cache.tnum.misses"),
-            ("prune index", "prune_index_hit_rate",
-             "verifier.prune.exact_hits", "verifier.prune.misses"),
+            ("state prune", "prune_index_hit_rate",
+             "verifier.prune.scan_hits", "verifier.prune.misses"),
         ):
             rate = rates[rate_key]
             hits = counters.get(hits_key, 0)
-            if rate_key == "prune_index_hit_rate":
-                hits += counters.get("verifier.prune.scan_hits", 0)
             misses = counters.get(misses_key, 0)
             lines.append(
                 f"  {label:<14} {rate:>6.1%}  "
                 f"(hits={hits} misses={misses}) {_bar(rate)}"
             )
-        lines.append(
-            f"  {'exact-hit frac':<14} {rates['prune_exact_fraction']:>6.1%}  "
-            f"(of prune hits, answered by fingerprint probe)"
-        )
 
     shards = artifact.get("shards", [])
     if shards:

@@ -9,10 +9,10 @@ bytes, the entry state, the map shapes, and the kernel config.  This
 module captures that function's outputs once and replays them.
 
 The cache key is the tuple of the program's frame bodies (its full
-slot stream, field by field), the entry-state fingerprint
-(:func:`~repro.verifier.env.state_fingerprint` of the verifier's
-initial state), the map specs, the program type, and the sanitize
-flag.  A **hit** must be observably indistinguishable from a full
+slot stream, field by field), the map specs, the program type, the
+offload device, and the sanitize flag.  The verifier's entry state is
+the same for every program, so it needs no place in the key.  A
+**hit** must be observably indistinguishable from a full
 re-verification; three mechanisms guarantee that:
 
 - **verdicts** — for an accepted program the fresh kernel still runs
@@ -41,13 +41,10 @@ inside, where a replay has nothing to show
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import BpfError, VerifierReject
-from repro.verifier.env import FuncFrame, VerifierState, state_fingerprint
-from repro.verifier.state import RegState, RegType
 
 __all__ = ["VerdictCache", "VerdictEntry"]
 
@@ -109,14 +106,6 @@ class VerdictEntry:
     kinds: frozenset[str] = field(default_factory=frozenset)
 
 
-def _entry_fp() -> tuple:
-    """Fingerprint of the verifier's entry state (R1 = ctx pointer)."""
-    ctx = RegState.pointer(RegType.PTR_TO_CTX)
-    return state_fingerprint(
-        VerifierState(frames=[FuncFrame.entry(ctx)], insn_idx=0)
-    )
-
-
 class VerdictCache:
     """Bounded LRU of per-program verifier outcomes for one shard.
 
@@ -127,8 +116,8 @@ class VerdictCache:
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, VerdictEntry] = OrderedDict()
-        self._entry_state_fp = _entry_fp()
+        #: insertion-ordered, least recently used first
+        self._entries: dict[tuple, VerdictEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,7 +129,6 @@ class VerdictCache:
         )
         return (
             frames,
-            self._entry_state_fp,
             map_specs,
             prog.prog_type,
             prog.offload_dev,
@@ -155,7 +143,7 @@ class VerdictCache:
     def _store(self, key: tuple, entry: VerdictEntry) -> None:
         self._entries[key] = entry
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            del self._entries[next(iter(self._entries))]
             obs.current().counter("cache.verdict.evictions")
 
     def load(self, kernel, prog, *, sanitize: bool, coverage,
@@ -171,7 +159,7 @@ class VerdictCache:
         entry = self._entries.get(key)
         ob = obs.current()
         if entry is not None:
-            self._entries.move_to_end(key)
+            self._entries[key] = self._entries.pop(key)
             self._count(ob, "hits", kinds)
             if entry.kind == "accepted":
                 verified = kernel.prog_load(

@@ -36,8 +36,7 @@ Event kinds (each event is a plain dict with ``kind`` and ``seq``):
 - ``step``    — ``do_check`` reached an instruction; ``insn``, and at
   ``level >= 2`` the non-NOT_INIT registers (``regs``) and frame depth
 - ``prune``   — prune-point / loop-header decision; ``insn``, ``point``
-  (``prune`` | ``loop``), ``outcome`` (``exact-hit`` | ``scan-hit`` |
-  ``miss``)
+  (``prune`` | ``loop``), ``outcome`` (``hit`` | ``miss``)
 - ``refine``  — branch knowledge narrowed a register; ``insn``,
   ``reg``, ``detail``
 - ``patch``   — sanitation rewrite scheduled; ``insn``, ``patch``

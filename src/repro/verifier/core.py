@@ -197,7 +197,6 @@ class CheckSummary:
     states_pushed: int
     states_pruned: int
     peak_stack: int
-    prune_exact_hits: int
     prune_scan_hits: int
     prune_misses: int
     prune_evictions: int
@@ -493,7 +492,6 @@ class Verifier:
 
     def _emit_prune_metrics(self, ob) -> None:
         env = self.env
-        ob.counter("verifier.prune.exact_hits", env.prune_exact_hits)
         ob.counter("verifier.prune.scan_hits", env.prune_scan_hits)
         ob.counter("verifier.prune.misses", env.prune_misses)
         ob.counter("verifier.prune.evictions", env.prune_evictions)
@@ -510,7 +508,6 @@ class Verifier:
             states_pushed=env.states_pushed,
             states_pruned=env.states_pruned,
             peak_stack=env.peak_stack,
-            prune_exact_hits=env.prune_exact_hits,
             prune_scan_hits=env.prune_scan_hits,
             prune_misses=env.prune_misses,
             prune_evictions=env.prune_evictions,
@@ -534,7 +531,6 @@ class Verifier:
         env.states_pushed = summary.states_pushed
         env.states_pruned = summary.states_pruned
         env.peak_stack = summary.peak_stack
-        env.prune_exact_hits = summary.prune_exact_hits
         env.prune_scan_hits = summary.prune_scan_hits
         env.prune_misses = summary.prune_misses
         env.prune_evictions = summary.prune_evictions
@@ -601,7 +597,7 @@ class Verifier:
                         hit = env.loop_header_seen(state)
                     finally:
                         ob.pop()
-                    ob.verify_prune(idx, "loop", hit or "miss")
+                    ob.verify_prune(idx, "loop", "hit" if hit else "miss")
                     if hit:
                         self.reject(errno.EINVAL, "infinite loop detected")
                 elif idx in self._prune_points:
@@ -610,7 +606,7 @@ class Verifier:
                         hit = env.is_visited(state)
                     finally:
                         ob.pop()
-                    ob.verify_prune(idx, "prune", hit or "miss")
+                    ob.verify_prune(idx, "prune", "hit" if hit else "miss")
                     if hit:
                         state = env.pop_state()
                         continue

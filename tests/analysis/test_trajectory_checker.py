@@ -195,3 +195,33 @@ def test_repair_rate_zero_previous_skips(checker, tmp_path):
     cur = write_bench(tmp_path / "cur.json", 100.0,
                       repair_overhead=0.0, repair_rate=0.0)
     assert checker.main(["--previous", prev, "--current", cur]) == 0
+
+
+def test_cache_rate_drop_within_tolerance_passes(checker):
+    prev = {"caches": {"tnum_memo_hit_rate": 0.90}}
+    cur = {"caches": {"tnum_memo_hit_rate": 0.70}}
+    assert checker.check_cache_rates(prev, cur, max_drop=0.25)
+
+
+def test_cache_rate_large_drop_fails(checker):
+    prev = {"caches": {"tnum_memo_hit_rate": 0.90}}
+    cur = {"caches": {"tnum_memo_hit_rate": 0.60}}
+    assert not checker.check_cache_rates(prev, cur, max_drop=0.25)
+
+
+def test_disappeared_cache_rate_fails(checker):
+    prev = {"caches": {"tnum_memo_hit_rate": 0.90,
+                       "verdict_hit_rate": 0.01}}
+    cur = {"caches": {"tnum_memo_hit_rate": 0.90}}
+    assert "verdict_hit_rate" not in checker.RETIRED_RATES
+    assert not checker.check_cache_rates(prev, cur, max_drop=0.25)
+
+
+def test_retired_cache_rate_skipped(checker, capsys):
+    prev = {"caches": {"tnum_memo_hit_rate": 0.90,
+                       "prune_exact_fraction": 0.75}}
+    cur = {"caches": {"tnum_memo_hit_rate": 0.90}}
+    assert "prune_exact_fraction" in checker.RETIRED_RATES
+    assert checker.check_cache_rates(prev, cur, max_drop=0.25)
+    assert "prune_exact_fraction retired" in capsys.readouterr().out
+

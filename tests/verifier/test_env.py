@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.verifier.env import (
+    LOOP_CAP,
+    PRUNE_CAP,
     FuncFrame,
     VerifierEnv,
     VerifierState,
@@ -132,3 +134,64 @@ class TestEnv:
         copy.refs[3] = 4
         assert state.regs[0].type == RegType.NOT_INIT
         assert 3 not in state.refs
+
+
+def const_state(value: int) -> VerifierState:
+    """Distinct constants never subsume each other."""
+    state = fresh_state()
+    state.regs[2] = RegState.const_scalar(value)
+    return state
+
+
+def stored_consts(env: VerifierEnv, index_attr: str) -> list[int]:
+    return [s.regs[2].const_value() for s in getattr(env, index_attr)[0]]
+
+
+@pytest.mark.parametrize(
+    "method, index_attr, cap",
+    [("is_visited", "explored", PRUNE_CAP),
+     ("loop_header_seen", "loop_explored", LOOP_CAP)],
+)
+class TestExploredLru:
+    def _env(self):
+        return VerifierEnv(VerifierLog(), complexity_limit=1000)
+
+    def test_overflow_evicts_oldest(self, method, index_attr, cap):
+        env = self._env()
+        seen = getattr(env, method)
+        for value in range(cap):
+            assert not seen(const_state(value))
+        assert env.prune_evictions == 0
+        assert not seen(const_state(cap))
+        assert env.prune_evictions == 1
+        assert stored_consts(env, index_attr) == list(range(1, cap + 1))
+        assert not seen(const_state(0))  # forgotten, so new again
+        assert env.prune_misses == cap + 2
+
+    def test_hit_freshens_entry(self, method, index_attr, cap):
+        env = self._env()
+        seen = getattr(env, method)
+        for value in range(cap):
+            seen(const_state(value))
+        assert seen(const_state(0))
+        assert stored_consts(env, index_attr)[-1] == 0
+        # The next insertion evicts 1, the least recently useful.
+        assert not seen(const_state(cap))
+        assert 0 in stored_consts(env, index_attr)
+        assert 1 not in stored_consts(env, index_attr)
+        assert seen(const_state(0))
+        assert env.prune_scan_hits == 2
+
+    def test_wider_prunes_narrower_only(self, method, index_attr, cap):
+        wide = fresh_state()
+        wide.regs[2] = RegState.unknown_scalar()
+        env = self._env()
+        seen = getattr(env, method)
+        assert not seen(wide)
+        assert seen(const_state(5))
+
+        env = self._env()
+        seen = getattr(env, method)
+        assert not seen(const_state(5))
+        assert not seen(wide.clone())
+        assert len(getattr(env, index_attr)[0]) == 2

@@ -15,6 +15,7 @@ from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
 from repro.runtime.executor import Executor
 from repro.testsuite import all_selftests_extended
+from repro.verifier.env import VerifierEnv, states_equal
 
 _TESTS = all_selftests_extended()
 
@@ -84,3 +85,31 @@ def test_sanitized_and_raw_agree(selftest):
     r_raw = Executor(kernel_raw).run(raw)
     r_san = Executor(kernel_san).run(san)
     assert r_raw.r0 == r_san.r0
+
+
+def test_stored_states_subsume_themselves(monkeypatch):
+    """Subsumption is reflexive over every state the verifier stores.
+
+    The explored-set scan relies on it to prune an exact repeat: the
+    stored snapshot must subsume both itself and the state it copies.
+    """
+    original = VerifierEnv._seen
+    stored = []
+
+    def checked_seen(self, index, state, cap):
+        hit = original(self, index, state, cap)
+        if not hit:
+            snapshot = index[state.insn_idx][-1]
+            assert states_equal(snapshot, snapshot)
+            assert states_equal(snapshot, state)
+            stored.append(snapshot)
+        return hit
+
+    monkeypatch.setattr(VerifierEnv, "_seen", checked_seen)
+    for selftest in _TESTS:
+        kernel = Kernel(PROFILES["patched"]())
+        try:
+            kernel.prog_load(selftest.build(kernel))
+        except (VerifierReject, BpfError):
+            pass
+    assert stored
