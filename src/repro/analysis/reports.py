@@ -233,20 +233,21 @@ def render_dashboard(artifact: dict) -> str:
     ):
         rates = cache_hit_rates(counters)
         lines += ["", "verifier fast-path cache health:"]
-        for label, rate_key, hits_key, misses_key in (
+        for label, rate_key, hits_key, misses_key, extra in (
             ("verdict cache", "verdict_hit_rate",
-             "cache.verdict.hits", "cache.verdict.misses"),
+             "cache.verdict.hits", "cache.verdict.misses", ""),
             ("tnum memo", "tnum_memo_hit_rate",
-             "cache.tnum.hits", "cache.tnum.misses"),
+             "cache.tnum.hits", "cache.tnum.misses", ""),
             ("state prune", "prune_index_hit_rate",
-             "verifier.prune.scan_hits", "verifier.prune.misses"),
+             "verifier.prune.scan_hits", "verifier.prune.misses",
+             f" compares={counters.get('verifier.prune.compares', 0)}"),
         ):
             rate = rates[rate_key]
             hits = counters.get(hits_key, 0)
             misses = counters.get(misses_key, 0)
             lines.append(
                 f"  {label:<14} {rate:>6.1%}  "
-                f"(hits={hits} misses={misses}) {_bar(rate)}"
+                f"(hits={hits} misses={misses}{extra}) {_bar(rate)}"
             )
 
     shards = artifact.get("shards", [])

@@ -200,6 +200,7 @@ class CheckSummary:
     prune_scan_hits: int
     prune_misses: int
     prune_evictions: int
+    prune_compares: int
 
 
 class Verifier:
@@ -495,6 +496,7 @@ class Verifier:
         ob.counter("verifier.prune.scan_hits", env.prune_scan_hits)
         ob.counter("verifier.prune.misses", env.prune_misses)
         ob.counter("verifier.prune.evictions", env.prune_evictions)
+        ob.counter("verifier.prune.compares", env.prune_compares)
 
     def _summarize_check(self) -> CheckSummary:
         env = self.env
@@ -511,6 +513,7 @@ class Verifier:
             prune_scan_hits=env.prune_scan_hits,
             prune_misses=env.prune_misses,
             prune_evictions=env.prune_evictions,
+            prune_compares=env.prune_compares,
         )
 
     def _restore_check(self, summary: CheckSummary) -> None:
@@ -534,6 +537,7 @@ class Verifier:
         env.prune_scan_hits = summary.prune_scan_hits
         env.prune_misses = summary.prune_misses
         env.prune_evictions = summary.prune_evictions
+        env.prune_compares = summary.prune_compares
 
     def _initial_state(self) -> VerifierState:
         ctx = RegState.pointer(RegType.PTR_TO_CTX)

@@ -24,12 +24,15 @@ Per-index explored lists are LRU-ordered and bounded (``PRUNE_CAP`` /
 ``LOOP_CAP``) with an eviction counter, so loop-heavy programs cannot
 grow the explored set without bound.  Subsumption is reflexive, so a
 state identical to a stored one is found by the same scan that finds a
-wider one.
+wider one.  Each stored state's *pin signature* (:func:`pin_signature`)
+lets the scan skip, with one tuple compare, every entry whose exactly
+pinned values the new state does not share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.ebpf.opcodes import Reg
 from repro.verifier.log import VerifierLog
@@ -49,6 +52,8 @@ __all__ = [
     "PRUNE_CAP",
     "LOOP_CAP",
     "states_equal",
+    "state_shape",
+    "pin_signature",
 ]
 
 #: Maximum bpf-to-bpf call nesting (kernel: 8).
@@ -197,8 +202,15 @@ def _reg_subsumed(old: RegState, new: RegState) -> bool:
 
 def _stack_subsumed(old: StackState, new: StackState) -> bool:
     """``stacksafe``: every constraint the old state had must hold."""
+    # Copy-on-write clones share slot dicts and slots until written;
+    # subsumption is reflexive (a SPILL byte always has ``spilled``
+    # set), so a shared dict or slot needs no comparison.
+    if old._slots is new._slots:
+        return True
     for slot_idx, old_slot in old.iter_slots():
         new_slot = new.get_slot(slot_idx)
+        if new_slot is old_slot:
+            continue
         for byte_idx, old_type in enumerate(old_slot.bytes):
             if old_type == SlotType.INVALID:
                 continue
@@ -249,6 +261,71 @@ def states_equal(old: VerifierState, new: VerifierState) -> bool:
     return True
 
 
+#: bound once: looking up an Enum member on its class is slow, and
+#: :func:`state_shape` runs on every prune lookup
+_SCALAR = RegType.SCALAR
+_NOT_INIT = RegType.NOT_INIT
+
+
+def state_shape(state: VerifierState) -> list:
+    """Per-position keys of ``state`` that a stored state may pin.
+
+    The reference count, whether the lock is held, then per frame its
+    callsite and one key per register: a constant scalar's value, a
+    pointer's ``(type, off)``, else the register's type.  A constant
+    scalar subsumes only the same constant, and a pointer only one of
+    the same type and fixed offset; a NOT_INIT or non-constant scalar
+    subsumes many values, so its :class:`RegType` key marks a wildcard,
+    which no pinned value equals.  The length fixes the frame count,
+    since every frame has the same registers.
+    """
+    shape = [len(state.refs), state.active_lock is not None]
+    for frame in state.frames:
+        shape.append(frame.callsite)
+        for reg in frame.regs:
+            reg_type = reg.type
+            if reg_type is _SCALAR:
+                var_off = reg.var_off
+                shape.append(var_off.value if var_off.mask == 0 else _SCALAR)
+            elif reg_type is _NOT_INIT:
+                shape.append(_NOT_INIT)
+            else:
+                shape.append((reg_type, reg.off))
+    return shape
+
+
+def pin_signature(state: VerifierState) -> tuple:
+    """``(width, getter, values)``: what ``states_equal(state, new)``
+    requires of ``new`` exactly.
+
+    ``new`` can be subsumed only if ``len(state_shape(new)) == width``
+    and ``getter(state_shape(new)) == values``.  Every pinned position
+    is a necessary condition of :func:`states_equal`, so this is a
+    filter in front of it, never a substitute: wildcard positions keep
+    a stored NOT_INIT or ranged register subsuming any value there.
+    """
+    shape = state_shape(state)
+    getter = itemgetter(
+        *[
+            pos
+            for pos, key in enumerate(shape)
+            if key is not _SCALAR and key is not _NOT_INIT
+        ]
+    )
+    return len(shape), getter, getter(shape)
+
+
+class _Explored:
+    """An explored-list entry: a stored state and its pin signature,
+    built on the first scan that reaches the entry."""
+
+    __slots__ = ("state", "pins")
+
+    def __init__(self, state: VerifierState) -> None:
+        self.state = state
+        self.pins: tuple | None = None
+
+
 class VerifierEnv:
     """Mutable bookkeeping for one verification run."""
 
@@ -259,9 +336,9 @@ class VerifierEnv:
         self.stack: list[VerifierState] = []
         #: explored states per instruction index (pruning candidates),
         #: least recently useful first
-        self.explored: dict[int, list[VerifierState]] = {}
+        self.explored: dict[int, list[_Explored]] = {}
         #: ditto for loop headers (separate capacity, reject-on-match)
-        self.loop_explored: dict[int, list[VerifierState]] = {}
+        self.loop_explored: dict[int, list[_Explored]] = {}
         #: id allocator for pointer identity / null resolution
         self._next_id = 1
         #: statistics exported into VerifiedProgram.stats
@@ -274,6 +351,8 @@ class VerifierEnv:
         self.prune_scan_hits = 0
         self.prune_misses = 0
         self.prune_evictions = 0
+        #: full ``states_equal`` calls the pin-signature filter let through
+        self.prune_compares = 0
 
     def new_id(self) -> int:
         self._next_id += 1
@@ -289,13 +368,14 @@ class VerifierEnv:
 
     def _seen(
         self,
-        index: dict[int, list[VerifierState]],
+        index: dict[int, list[_Explored]],
         state: VerifierState,
         cap: int,
     ) -> bool:
         """Shared subsumption machinery for prune points and loop headers.
 
-        An ordered ``states_equal`` scan over the stored states.  A
+        An ordered ``states_equal`` scan over the stored states, skipping
+        each one whose pin signature ``state`` does not match.  A
         matched entry moves to the end (most recently useful); a new
         state is stored as a copy-on-write snapshot and the oldest
         entry evicted beyond ``cap``.  Returns whether ``state`` was
@@ -304,13 +384,23 @@ class VerifierEnv:
         seen = index.get(state.insn_idx)
         if seen is None:
             seen = index[state.insn_idx] = []
-        for pos, old in enumerate(seen):
-            if states_equal(old, state):
-                seen.append(seen.pop(pos))
-                self.prune_scan_hits += 1
-                return True
+        else:
+            shape = state_shape(state)
+            width = len(shape)
+            for pos, entry in enumerate(seen):
+                pins = entry.pins
+                if pins is None:
+                    pins = entry.pins = pin_signature(entry.state)
+                old_width, getter, values = pins
+                if old_width != width or getter(shape) != values:
+                    continue
+                self.prune_compares += 1
+                if states_equal(entry.state, state):
+                    seen.append(seen.pop(pos))
+                    self.prune_scan_hits += 1
+                    return True
         self.prune_misses += 1
-        seen.append(state.clone())
+        seen.append(_Explored(state.clone()))
         if len(seen) > cap:
             del seen[0]
             self.prune_evictions += 1

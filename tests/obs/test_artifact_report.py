@@ -103,7 +103,8 @@ class TestArtifact:
 class TestDashboard:
     def test_renders_required_sections(self, sharded_results):
         one, _ = sharded_results
-        text = render_dashboard(build_artifact(one))
+        artifact = build_artifact(one)
+        text = render_dashboard(artifact)
         assert "acceptance by rejection reason" in text
         assert "acceptance by frame kind" in text
         assert "per-shard coverage / throughput" in text
@@ -114,6 +115,12 @@ class TestDashboard:
         rows = [line for line in text.splitlines()
                 if re.match(r"^\s+\d+\s+\d+\s+\d+\s+\d+", line)]
         assert len(rows) == 4
+        counters = artifact["metrics"]["counters"]
+        compares = counters["verifier.prune.compares"]
+        assert compares > 0
+        [prune_row] = [line for line in text.splitlines()
+                       if line.lstrip().startswith("state prune")]
+        assert f"compares={compares})" in prune_row
 
     def test_report_cli(self, serial_result, tmp_path, capsys):
         path = tmp_path / "metrics.json"

@@ -14,7 +14,8 @@ from repro.ebpf import asm
 from repro.ebpf.insn import Insn
 from repro.ebpf.opcodes import AluOp, JmpOp, Reg, Size
 from repro.ebpf.program import BpfProgram, ProgType
-from repro.verifier.core import MAX_USER_INSNS
+from repro.verifier.core import MAX_USER_INSNS, Verifier
+from repro.verifier.env import LOOP_CAP
 
 
 def load(kernel, insns, prog_type=ProgType.SOCKET_FILTER):
@@ -121,6 +122,37 @@ class TestLoops:
             ],
         )
         assert exc.errno == errno.E2BIG
+
+    def test_constant_ramp_skips_every_compare(self, patched_kernel):
+        # A loop that never exits while it ramps R3: every loop-header
+        # state differs from the stored ones in one constant, so the
+        # pin-signature filter rules out each entry without running
+        # states_equal, and the run still ends at the complexity limit
+        # with the counts of a full scan.
+        prog = BpfProgram(
+            insns=[
+                asm.mov64_imm(Reg.R3, 0),
+                asm.mov64_imm(Reg.R2, 0),
+                asm.alu64_imm(AluOp.ADD, Reg.R3, 1),
+                asm.alu64_imm(AluOp.AND, Reg.R2, 1),
+                asm.jmp_imm(JmpOp.JLT, Reg.R2, 1, -3),
+                asm.mov64_imm(Reg.R0, 0),
+                asm.exit_insn(),
+            ],
+            prog_type=ProgType.SOCKET_FILTER,
+        )
+        verifier = Verifier(patched_kernel, prog)
+        with pytest.raises(VerifierReject) as exc:
+            verifier.verify()
+        assert exc.value.errno == errno.E2BIG
+        assert exc.value.message == (
+            "BPF program is too large. Processed 30001 insn")
+        env = verifier.env
+        assert env.insns_processed == 30001
+        assert env.prune_scan_hits == 0
+        assert env.prune_misses == 10000
+        assert env.prune_evictions == 10000 - LOOP_CAP
+        assert env.prune_compares == 0
 
 
 class TestSubprograms:

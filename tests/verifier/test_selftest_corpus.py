@@ -16,6 +16,7 @@ from repro.kernel.syscall import Kernel
 from repro.runtime.executor import Executor
 from repro.testsuite import all_selftests_extended
 from repro.verifier.env import VerifierEnv, states_equal
+from repro.verifier.stack import SlotType
 
 _TESTS = all_selftests_extended()
 
@@ -87,21 +88,18 @@ def test_sanitized_and_raw_agree(selftest):
     assert r_raw.r0 == r_san.r0
 
 
-def test_stored_states_subsume_themselves(monkeypatch):
-    """Subsumption is reflexive over every state the verifier stores.
-
-    The explored-set scan relies on it to prune an exact repeat: the
-    stored snapshot must subsume both itself and the state it copies.
-    """
+def _verify_corpus_storing(monkeypatch, check):
+    """Verify the corpus, calling ``check(snapshot, state)`` each time
+    the explored list stores a snapshot of ``state``; returns the
+    snapshots."""
     original = VerifierEnv._seen
     stored = []
 
     def checked_seen(self, index, state, cap):
         hit = original(self, index, state, cap)
         if not hit:
-            snapshot = index[state.insn_idx][-1]
-            assert states_equal(snapshot, snapshot)
-            assert states_equal(snapshot, state)
+            snapshot = index[state.insn_idx][-1].state
+            check(snapshot, state)
             stored.append(snapshot)
         return hit
 
@@ -112,4 +110,45 @@ def test_stored_states_subsume_themselves(monkeypatch):
             kernel.prog_load(selftest.build(kernel))
         except (VerifierReject, BpfError):
             pass
-    assert stored
+    return stored
+
+
+def test_stored_states_subsume_themselves(monkeypatch):
+    """Subsumption is reflexive over every state the verifier stores.
+
+    The explored-set scan relies on it to prune an exact repeat: the
+    stored snapshot must subsume both itself and the state it copies.
+    """
+
+    def check(snapshot, state):
+        assert states_equal(snapshot, snapshot)
+        assert states_equal(snapshot, state)
+        # Both share their stack slots with the snapshot, which
+        # ``_stack_subsumed`` skips; a deep stack copy compares them.
+        unshared = snapshot.clone()
+        for frame in unshared.frames:
+            frame.stack = frame.stack.clone()
+        assert states_equal(snapshot, unshared)
+
+    assert _verify_corpus_storing(monkeypatch, check)
+
+
+def test_stored_spill_bytes_keep_their_register(monkeypatch):
+    """Every stored slot with SPILL bytes has ``spilled`` set.
+
+    ``stacksafe`` fails a SPILL byte without a spilled register, so
+    this is what makes slot subsumption reflexive, which the
+    copy-on-write shortcuts in ``_stack_subsumed`` rely on.
+    """
+    spill_slots = 0
+
+    def check(snapshot, state):
+        nonlocal spill_slots
+        for frame in snapshot.frames:
+            for _, slot in frame.stack.iter_slots():
+                if SlotType.SPILL in slot.bytes:
+                    assert slot.spilled is not None
+                    spill_slots += 1
+
+    assert _verify_corpus_storing(monkeypatch, check)
+    assert spill_slots
