@@ -85,16 +85,6 @@ def _load_payload() -> dict:
     return {}
 
 
-def _cache_rates(metrics: dict) -> dict:
-    """Hit rates of the verifier fast-path caches, from one snapshot.
-
-    Delegates to :func:`repro.obs.metrics.cache_hit_rates` so the
-    benchmark, the ``repro report`` dashboard, and campaign heartbeats
-    always agree on the definition of each rate.
-    """
-    return cache_hit_rates(metrics.get("counters", {}))
-
-
 def test_parallel_throughput():
     serial = ParallelCampaign(CONFIG, workers=1).run()
     parallel = ParallelCampaign(CONFIG, workers=WORKERS).run()
@@ -124,10 +114,11 @@ def test_parallel_throughput():
         "bugs_found": len(parallel.findings),
         "merged_coverage": parallel.final_coverage,
         # Fast-path cache effectiveness (serial run: one process, so
-        # the process-global tnum memo numbers are self-contained).
+        # the process-global tnum memo numbers are self-contained), by
+        # the same definition `repro report` and heartbeats use.
         # check_throughput_trajectory.py gates these and the serial
         # verify_fraction across CI runs.
-        "caches": _cache_rates(serial.metrics),
+        "caches": cache_hit_rates(serial.metrics.get("counters", {})),
         # Rejection-reason distribution for the drift gate
         # (benchmarks/check_taxonomy_drift.py).  Deterministic for a
         # fixed (seed, budget, shards), so any change between CI runs
@@ -380,132 +371,6 @@ def test_repair_overhead():
         f"disabled-mode repair overhead {disabled_overhead:.1%} "
         f"exceeds the {REPAIR_OVERHEAD_BUDGET:.0%} budget"
     )
-
-
-def test_coverage_backend_comparison():
-    """Benchmark the coverage backends against the same verify workload.
-
-    ROADMAP item 5: on Python 3.12+ the PEP 669 :mod:`sys.monitoring`
-    backend should beat :func:`sys.settrace` because out-of-scope code
-    objects disable their own events after the first hit, while
-    settrace pays a call-event filter on every frame forever.  This
-    benchmark verifies the two claims ``backend="auto"`` rests on:
-
-    - every available backend produces a **bit-identical edge set** for
-      the same workload (otherwise auto-selection would change the
-      science, not just the speed);
-    - the preference order ``ctrace > monitoring > settrace`` is
-      recorded per host in ``BENCH_throughput.json`` so the trajectory
-      shows which backend CI actually exercised and what the faster
-      default buys.
-
-    Methodology mirrors the overhead benchmarks: a fixed pre-generated
-    program batch, one warm-up pass per backend, then the median of 3
-    interleaved rounds.  The speed assertion (monitoring >= 0.9x
-    settrace) only applies when monitoring exists (3.12+); it is a
-    loose floor, not the expected win — CI hardware noise must not turn
-    an improvement PR red.
-    """
-    import sys as _sys
-    import time
-    from statistics import median
-
-    from repro.ebpf.program import BpfProgram
-    from repro.errors import BpfError, VerifierReject
-    from repro.fuzz.campaign import make_generator
-    from repro.fuzz.coverage import VerifierCoverage, _MonitoringBackend
-    from repro.fuzz.rng import FuzzRng
-    from repro.kernel.config import PROFILES as _PROFILES
-    from repro.kernel.syscall import Kernel
-
-    # Fixed workload: one seeded generator, BUDGET-capped batch.
-    batch_size = min(BUDGET, 150)
-    rng = FuzzRng(0)
-    generator = make_generator("bvf", None, rng)
-    programs = []
-    for i in range(batch_size):
-        kernel = Kernel(_PROFILES["bpf-next"]())
-        gp = generator.generate(kernel)
-        programs.append(BpfProgram(
-            insns=list(gp.insns), prog_type=gp.prog_type,
-            name=f"bench_{i}", offload_dev=gp.offload_dev,
-        ))
-
-    def run_backend(name: str) -> tuple[float, frozenset[int]]:
-        coverage = VerifierCoverage(backend=name)
-        started = time.perf_counter()
-        for prog in programs:
-            kernel_run = Kernel(_PROFILES["bpf-next"]())
-            with coverage.collect():
-                try:
-                    kernel_run.prog_load(prog, sanitize=True)
-                except (VerifierReject, BpfError):
-                    pass
-        elapsed = time.perf_counter() - started
-        return batch_size / elapsed, coverage.snapshot_edges()
-
-    backends = ["settrace"]
-    if _MonitoringBackend.available():
-        backends.append("monitoring")
-    try:
-        VerifierCoverage(backend="ctrace")
-    except ValueError:
-        pass
-    else:
-        backends.append("ctrace")
-
-    for name in backends:  # warm-up, discarded
-        run_backend(name)
-    rounds: dict[str, list[float]] = {name: [] for name in backends}
-    edge_sets: dict[str, frozenset[int]] = {}
-    for _ in range(3):
-        for name in backends:
-            pps, edges = run_backend(name)
-            rounds[name].append(pps)
-            edge_sets[name] = edges
-    samples = {name: median(values) for name, values in rounds.items()}
-
-    # Equivalence: backend choice must not change the measured edges.
-    reference = edge_sets["settrace"]
-    for name, edges in edge_sets.items():
-        assert edges == reference, (
-            f"backend {name} produced a different edge set than settrace "
-            f"({len(edges)} vs {len(reference)} edges)"
-        )
-
-    auto_default = VerifierCoverage(backend="auto").backend_name
-    payload = _load_payload()
-    payload["coverage_backends"] = {
-        "batch_size": batch_size,
-        "python": f"{_sys.version_info.major}.{_sys.version_info.minor}",
-        "auto_default": auto_default,
-        "verifications_per_sec": {
-            name: round(samples[name], 2) for name in backends
-        },
-        "monitoring_speedup_vs_settrace": (
-            round(samples["monitoring"] / samples["settrace"], 3)
-            if "monitoring" in samples else None
-        ),
-        "edges": len(reference),
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-
-    print("\n=== Coverage backend comparison ===")
-    for name in backends:
-        marker = " (auto default)" if name == auto_default else ""
-        print(f"{name:>11}: {samples[name]:8.1f} verifications/sec{marker}")
-    if "monitoring" in samples:
-        speedup = samples["monitoring"] / samples["settrace"]
-        print(f"monitoring vs settrace: {speedup:.2f}x")
-        assert speedup >= 0.9, (
-            f"sys.monitoring backend ({samples['monitoring']:.1f}/s) fell "
-            f"below 0.9x settrace ({samples['settrace']:.1f}/s); the auto "
-            "preference order is no longer justified on this host"
-        )
-    else:
-        print(f"sys.monitoring unavailable on Python "
-              f"{_sys.version_info.major}.{_sys.version_info.minor}; "
-              "recorded settrace baseline only")
 
 
 def test_flight_events_artifact():

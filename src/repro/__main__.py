@@ -82,8 +82,9 @@ def _print_divergences(result) -> None:
               f"iteration {div['iteration']}")
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    config = CampaignConfig(
+def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    """The campaign ``fuzz`` and ``campaign`` run, from their shared flags."""
+    return CampaignConfig(
         tool=args.tool,
         kernel_version=args.kernel,
         budget=args.budget,
@@ -99,16 +100,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         heartbeat_dir=args.heartbeat_dir,
         heartbeat_every=args.heartbeat_every,
     )
-    print(
-        f"fuzzing {args.kernel} with {args.tool}: {args.budget} programs, "
-        f"seed {args.seed}"
-    )
-    result = Campaign(config).run()
-    print(
-        f"\naccepted {result.accepted}/{result.generated} "
-        f"({result.acceptance_rate:.1%}); verifier coverage "
-        f"{result.final_coverage} edges; corpus {result.corpus_size}"
-    )
+
+
+def _finish_campaign(result, args: argparse.Namespace) -> int:
+    """Print the bug table, divergences and triage, then write artifacts."""
     print("\n" + render_bug_table(result.findings))
     _print_divergences(result)
     if args.triage and result.findings:
@@ -120,24 +115,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    config = CampaignConfig(
-        tool=args.tool,
-        kernel_version=args.kernel,
-        budget=args.budget,
-        seed=args.seed,
-        sanitize=not args.no_sanitize,
-        trace_path=args.trace,
-        differential=args.differential,
-        check_invariants=args.check_invariants,
-        flight=args.flight,
-        profile=args.profile,
-        repair_feedback=args.repair_feedback,
-        plateau_window=args.plateau_window,
-        heartbeat_dir=args.heartbeat_dir,
-        heartbeat_every=args.heartbeat_every,
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    print(
+        f"fuzzing {args.kernel} with {args.tool}: {args.budget} programs, "
+        f"seed {args.seed}"
     )
-    engine = ParallelCampaign(config, workers=args.workers, shards=args.shards)
+    result = Campaign(_campaign_config(args)).run()
+    print(
+        f"\naccepted {result.accepted}/{result.generated} "
+        f"({result.acceptance_rate:.1%}); verifier coverage "
+        f"{result.final_coverage} edges; corpus {result.corpus_size}"
+    )
+    return _finish_campaign(result, args)
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    engine = ParallelCampaign(_campaign_config(args), workers=args.workers,
+                              shards=args.shards)
     print(
         f"campaign on {args.kernel} with {args.tool}: {args.budget} programs "
         f"over {engine.shards} shards x {engine.workers} workers, "
@@ -157,15 +151,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"verify {throughput.verify_fraction:.0%} / "
         f"execute {throughput.execute_fraction:.0%} of busy time)"
     )
-    print("\n" + render_bug_table(result.findings))
-    _print_divergences(result)
-    if args.triage and result.findings:
-        kernel_config = PROFILES[args.kernel]()
-        for finding in result.findings.values():
-            print()
-            print(triage_finding(finding, kernel_config).render())
-    _emit_metrics(result, args)
-    return 0
+    return _finish_campaign(result, args)
 
 
 def _load_metrics_artifact(path: str) -> dict | None:
@@ -210,15 +196,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.explain import (
-        build_selftest,
-        describe_accepted,
-        explain_program,
-        replay_iteration,
-    )
+def _resolve_program(args: argparse.Namespace):
+    """The program ``explain`` and ``repair`` act on.
 
-    gp = None
+    ``args.program`` is a campaign iteration number (replayed from
+    ``--tool``/``--seed``) or a selftest name.  Returns ``(kernel, gp,
+    prog, sanitize, subject)`` — ``gp`` is ``None`` for a selftest — or
+    ``None`` after reporting an unknown selftest name on stderr.
+    """
+    from repro.obs.explain import build_selftest, replay_iteration
+
     if args.program.isdigit():
         config = CampaignConfig(
             tool=args.tool,
@@ -231,15 +218,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         sanitize = config.sanitize and kernel.config.sanitizer_available
         subject = (f"iteration {args.program} "
                    f"(tool={args.tool} seed={args.seed})")
-    else:
-        kernel = Kernel(PROFILES[args.kernel]())
-        try:
-            prog = build_selftest(args.program, kernel)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        sanitize = args.sanitize
-        subject = f"selftest {args.program!r}"
+        return kernel, gp, prog, sanitize, subject
+    kernel = Kernel(PROFILES[args.kernel]())
+    try:
+        prog = build_selftest(args.program, kernel)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    return kernel, None, prog, args.sanitize, f"selftest {args.program!r}"
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.obs.explain import describe_accepted, explain_program
+
+    resolved = _resolve_program(args)
+    if resolved is None:
+        return 1
+    kernel, gp, prog, sanitize, subject = resolved
     explanation = explain_program(kernel, prog, sanitize=sanitize)
 
     if explanation is None:
@@ -273,34 +268,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.analysis.repair import render_program, synthesize_repair
-    from repro.obs.explain import (
-        build_selftest,
-        explain_program,
-        replay_iteration,
-    )
+    from repro.obs.explain import explain_program
 
-    if args.program.isdigit():
-        config = CampaignConfig(
-            tool=args.tool,
-            kernel_version=args.kernel,
-            budget=0,
-            seed=args.seed,
-            sanitize=args.sanitize,
-        )
-        _, kernel, _, prog = replay_iteration(config, int(args.program))
-        sanitize = config.sanitize and kernel.config.sanitizer_available
-        subject = (f"iteration {args.program} "
-                   f"(tool={args.tool} seed={args.seed})")
-    else:
-        kernel = Kernel(PROFILES[args.kernel]())
-        try:
-            prog = build_selftest(args.program, kernel)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        sanitize = args.sanitize
-        subject = f"selftest {args.program!r}"
-
+    resolved = _resolve_program(args)
+    if resolved is None:
+        return 1
+    kernel, _, prog, sanitize, subject = resolved
     explanation = explain_program(kernel, prog, sanitize=sanitize)
     if explanation is None:
         print(f"{subject} accepted on {args.kernel} — nothing to repair")

@@ -8,32 +8,28 @@ verifier runs, records line-to-line edges within the modules under
 ``repro/verifier``.  Unique ``(code object, prev line, line)`` edges
 are the branch-coverage analogue.
 
-Three tracing backends are available:
+Two tracers record the same edges:
 
 - ``ctrace`` — a C trace callback (:mod:`_bvf_ctrace`, compiled on
   demand from ``_native/ctrace.c`` via :func:`PyEval_SetTrace`), which
   replaces the interpreter-level per-line dispatch with a C call and a
-  hash-set insert; it produces bit-identical edge keys to the Python
-  backends and is preferred whenever a C compiler or a prebuilt
-  extension is available;
-- ``monitoring`` — the PEP 669 :mod:`sys.monitoring` API (Python
-  3.12+), which dispatches per-line events without the per-call
-  closure allocation ``sys.settrace`` needs and lets out-of-scope code
-  disable its own events after the first hit;
-- ``settrace`` — the classic :func:`sys.settrace` hook, the portable
-  fallback that works on every interpreter.
+  hash-set insert;
+- ``settrace`` — the classic :func:`sys.settrace` hook, used when the
+  extension cannot be built or imported (no C compiler, no
+  ``Python.h``): a build problem slows a campaign down but never
+  breaks it.
 
-``backend="auto"`` (the default) picks the fastest available one in
-the order above.
+:class:`VerifierCoverage` uses ``ctrace`` whenever it loads and
+``settrace`` otherwise; the two produce bit-identical edge keys, so
+the choice changes speed, never the measured coverage.
 
 Edge keys are **stable across processes**: they are composed from a
 CRC32 of the code object's file/qualname/first-line identity plus the
 line pair, never from :func:`hash` (whose string hashing is salted per
-process).  That is what makes :meth:`merge`/:meth:`snapshot_edges`
-sound for the sharded parallel campaigns in
-:mod:`repro.fuzz.parallel`: a union of edge sets collected in
-different worker processes counts each distinct verifier edge exactly
-once.
+process).  That is what makes :meth:`snapshot_edges` sound for the
+sharded parallel campaigns in :mod:`repro.fuzz.parallel`: a union of
+edge sets collected in different worker processes counts each distinct
+verifier edge exactly once.
 
 The tracer is deliberately scoped: helper implementations, maps, and
 the interpreter are not traced, mirroring the paper's setup where only
@@ -117,19 +113,13 @@ def _stable_code_id(code) -> int:
     return zlib.crc32(key.encode())
 
 
-def _edge_key(code_id: int, prev: int, line: int) -> int:
-    return (
-        (code_id << (2 * _LINE_BITS))
-        | ((prev & _LINE_MASK) << _LINE_BITS)
-        | (line & _LINE_MASK)
-    )
-
-
 class CoverageReentryError(RuntimeError):
-    """Raised when :meth:`VerifierCoverage.collect` is nested.
+    """Raised when a :meth:`VerifierCoverage.collect` window is nested.
 
-    A nested window would clobber the active window's edge set and
-    silently corrupt ``last_new`` (the corpus feedback signal), so
+    The tracer is process-wide, so this covers a second window on the
+    same instance and a window opened on another instance while one is
+    active.  A nested window would clobber the active window's edge set
+    and silently corrupt ``last_new`` (the corpus feedback signal), so
     re-entry is rejected loudly instead.
     """
 
@@ -143,9 +133,9 @@ def _load_ctrace():
     """Import the C tracer, compiling it on first use if possible.
 
     Returns the module or ``None``.  Failures (no compiler, no
-    ``Python.h``, exotic platform) are cached and silent: the Python
-    backends are always available as fallbacks, so a build problem
-    must never break a campaign, only slow it down.
+    ``Python.h``, exotic platform) are cached and silent: the
+    ``sys.settrace`` tracer is always available as the fallback, so a
+    build problem must never break a campaign, only slow it down.
     """
     global _CTRACE_MODULE
     if _CTRACE_MODULE is not None:
@@ -207,18 +197,27 @@ class _CtraceBackend:
     def __init__(self, module) -> None:
         self._module = module
         self._window: set[int] | None = None
-
-    @staticmethod
-    def load():
-        return _load_ctrace()
+        self._saved_trace = None
 
     def start(self, window: set[int]) -> None:
+        saved = sys.gettrace()
+        try:
+            self._module.start(_VERIFIER_DIR, _SCOPE_BASENAMES)
+        except RuntimeError as exc:  # "ctrace already active"
+            raise CoverageReentryError(
+                "another coverage collection window is already active "
+                "in this process"
+            ) from exc
         self._window = window
-        self._module.start(_VERIFIER_DIR, _SCOPE_BASENAMES)
+        self._saved_trace = saved
 
     def stop(self) -> None:
         window, self._window = self._window, None
         window |= self._module.stop()
+        # PyEval_SetTrace(NULL) cleared whatever tracer was installed
+        # before the window (a debugger, pytest-cov); put it back.
+        sys.settrace(self._saved_trace)
+        self._saved_trace = None
 
 
 class _SettraceBackend:
@@ -233,8 +232,14 @@ class _SettraceBackend:
         self._saved_trace = None
 
     def start(self, window: set[int]) -> None:
+        saved = sys.gettrace()
+        if isinstance(getattr(saved, "__self__", None), _SettraceBackend):
+            raise CoverageReentryError(
+                "another coverage collection window is already active "
+                "in this process"
+            )
         self._window = window
-        self._saved_trace = sys.gettrace()
+        self._saved_trace = saved
         sys.settrace(self._global_trace)
 
     def stop(self) -> None:
@@ -276,122 +281,20 @@ class _SettraceBackend:
         return local_trace
 
 
-class _MonitoringBackend:
-    """Line-edge tracing via :mod:`sys.monitoring` (PEP 669).
-
-    Out-of-scope code objects return ``sys.monitoring.DISABLE`` from
-    their first event, so after warm-up only verifier code pays any
-    dispatch cost at all — the core of the hot-path win over
-    ``settrace``, which must filter every call event forever.
-    """
-
-    name = "monitoring"
-
-    def __init__(self) -> None:
-        self._scope_cache: dict[object, bool] = {}
-        self._code_ids: dict[object, int] = {}
-        #: per-code previous line within the current window
-        self._prev: dict[object, int] = {}
-        self._window: set[int] | None = None
-
-    @staticmethod
-    def available() -> bool:
-        return hasattr(sys, "monitoring")
-
-    @property
-    def _tool_id(self) -> int:
-        return sys.monitoring.COVERAGE_ID
-
-    def start(self, window: set[int]) -> None:
-        mon = sys.monitoring
-        try:
-            mon.use_tool_id(self._tool_id, "bvf-verifier-coverage")
-        except ValueError as exc:  # pragma: no cover - foreign tool active
-            raise CoverageReentryError(
-                "sys.monitoring coverage tool id already in use "
-                "(another collection window is active?)"
-            ) from exc
-        self._window = window
-        self._prev.clear()
-        events = mon.events
-        mon.register_callback(self._tool_id, events.PY_START, self._on_start)
-        mon.register_callback(self._tool_id, events.LINE, self._on_line)
-        mon.set_events(self._tool_id, events.PY_START | events.LINE)
-
-    def stop(self) -> None:
-        mon = sys.monitoring
-        mon.set_events(self._tool_id, 0)
-        mon.register_callback(self._tool_id, mon.events.PY_START, None)
-        mon.register_callback(self._tool_id, mon.events.LINE, None)
-        mon.free_tool_id(self._tool_id)
-        self._window = None
-        self._prev.clear()
-
-    def _scoped(self, code) -> bool:
-        in_scope = self._scope_cache.get(code)
-        if in_scope is None:
-            in_scope = _in_scope(code.co_filename)
-            self._scope_cache[code] = in_scope
-        return in_scope
-
-    def _on_start(self, code, instruction_offset):
-        if not self._scoped(code):
-            return sys.monitoring.DISABLE
-        # Function entry: edges restart from the def line, matching the
-        # settrace backend's per-call prev initialisation.
-        self._prev[code] = code.co_firstlineno
-        return None
-
-    def _on_line(self, code, line):
-        if not self._scoped(code):
-            return sys.monitoring.DISABLE
-        code_id = self._code_ids.get(code)
-        if code_id is None:
-            code_id = _stable_code_id(code)
-            self._code_ids[code] = code_id
-        prev = self._prev.get(code, code.co_firstlineno)
-        self._window.add(_edge_key(code_id, prev, line))
-        self._prev[code] = line
-        return None
-
-
-def _make_backend(backend: str):
-    if backend == "auto":
-        module = _CtraceBackend.load()
-        if module is not None:
-            return _CtraceBackend(module)
-        backend = "monitoring" if _MonitoringBackend.available() else "settrace"
-    if backend == "ctrace":
-        module = _CtraceBackend.load()
-        if module is None:
-            raise ValueError(
-                "ctrace backend requested but the _bvf_ctrace extension "
-                "could not be built or imported"
-            )
-        return _CtraceBackend(module)
-    if backend == "monitoring":
-        if not _MonitoringBackend.available():
-            raise ValueError(
-                "sys.monitoring backend requested but unavailable "
-                f"on Python {sys.version_info.major}.{sys.version_info.minor}"
-            )
-        return _MonitoringBackend()
-    if backend == "settrace":
-        return _SettraceBackend()
-    raise ValueError(f"unknown coverage backend {backend!r}")
-
-
 class VerifierCoverage:
     """Accumulates edge coverage of the verifier across many runs."""
 
-    def __init__(self, backend: str = "auto") -> None:
+    def __init__(self) -> None:
         #: all unique edges ever observed
         self.edges: set[int] = set()
         #: edges observed during the current collection window
         self._window: set[int] = set()
         #: edges the most recent window newly contributed
         self.last_new = 0
-        self._backend = _make_backend(backend)
+        module = _load_ctrace()
+        self._backend = (
+            _CtraceBackend(module) if module is not None else _SettraceBackend()
+        )
         self._collecting = False
 
     @property
@@ -414,9 +317,10 @@ class VerifierCoverage:
                 "VerifierCoverage.collect() is not re-entrant: a "
                 "collection window is already active on this instance"
             )
+        window = set()
+        self._backend.start(window)
+        self._window = window
         self._collecting = True
-        self._window = set()
-        self._backend.start(self._window)
         try:
             yield self._window
         finally:
@@ -444,13 +348,10 @@ class VerifierCoverage:
         self.last_new = len(window - self.edges)
         self.edges |= window
 
-    # --- accumulation / merge API ------------------------------------------------
+    # --- accumulation API --------------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def snapshot(self) -> int:
         return len(self.edges)
 
     def snapshot_edges(self) -> frozenset[int]:
@@ -460,19 +361,3 @@ class VerifierCoverage:
         campaign shard workers can be unioned in the parent.
         """
         return frozenset(self.edges)
-
-    def merge(self, other: "VerifierCoverage | Iterable[int]") -> int:
-        """Fold another coverage accumulation into this one.
-
-        Accepts either a :class:`VerifierCoverage` or any iterable of
-        edge keys (e.g. a :meth:`snapshot_edges` result shipped back
-        from a worker process).  Returns the number of edges that were
-        new to this accumulator.
-        """
-        if isinstance(other, VerifierCoverage):
-            incoming = other.edges
-        else:
-            incoming = set(other)
-        before = len(self.edges)
-        self.edges |= incoming
-        return len(self.edges) - before

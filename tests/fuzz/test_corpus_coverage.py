@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.errors import BpfError, VerifierReject
 from repro.kernel.config import PROFILES
 from repro.kernel.syscall import Kernel
 from repro.ebpf import asm
 from repro.ebpf.maps import MapType
 from repro.ebpf.opcodes import Reg
 from repro.ebpf.program import BpfProgram, ProgType
+from repro.fuzz import coverage as coverage_mod
+from repro.fuzz.campaign import make_generator
 from repro.fuzz.corpus import Corpus, MapSpec, specs_of
 from repro.fuzz.coverage import CoverageReentryError, VerifierCoverage
 from repro.fuzz.rng import FuzzRng
@@ -57,6 +62,25 @@ class TestCorpus:
         gp = dummy_gp(n_maps=2)
         specs = specs_of(gp)
         assert specs == (MapSpec(MapType.HASH, 8, 8, 4),) * 2
+
+
+@pytest.fixture
+def make_coverage(monkeypatch):
+    """Build a :class:`VerifierCoverage` on the named tracer."""
+
+    def build(tracer: str) -> VerifierCoverage:
+        if tracer == "ctrace":
+            if not coverage_mod._load_ctrace():
+                pytest.skip("C tracer extension unavailable")
+            return VerifierCoverage()
+        with monkeypatch.context() as patch:
+            patch.setattr(coverage_mod, "_load_ctrace", lambda: None)
+            return VerifierCoverage()
+
+    return build
+
+
+TRACERS = ("ctrace", "settrace")
 
 
 class TestCoverage:
@@ -119,38 +143,69 @@ class TestCoverage:
         self._verify_once(cov)
         assert cov.edge_count > 0
 
-    def test_backend_selection(self):
-        import sys
+    def test_falls_back_to_settrace_without_ctrace(self, monkeypatch):
+        monkeypatch.setattr(coverage_mod, "_load_ctrace", lambda: None)
+        cov = VerifierCoverage()
+        assert cov.backend_name == "settrace"
+        self._verify_once(cov)
+        assert cov.edge_count > 0
+        assert cov.last_new == cov.edge_count
 
-        assert VerifierCoverage().backend_name in (
-            "ctrace",
-            "settrace",
-            "monitoring",
-        )
-        assert VerifierCoverage(backend="settrace").backend_name == "settrace"
-        if hasattr(sys, "monitoring"):
-            cov = VerifierCoverage(backend="monitoring")
-            assert cov.backend_name == "monitoring"
-            self._verify_once(cov)
-            assert cov.edge_count > 0
-        else:
-            with pytest.raises(ValueError):
-                VerifierCoverage(backend="monitoring")
-        with pytest.raises(ValueError):
-            VerifierCoverage(backend="dtrace")
-
-    def test_ctrace_settrace_parity(self):
-        """The C tracer must report bit-identical edges to settrace."""
-        from repro.fuzz.coverage import _load_ctrace
-
-        if not _load_ctrace():
-            pytest.skip("C tracer extension unavailable")
-        fast = VerifierCoverage(backend="ctrace")
-        slow = VerifierCoverage(backend="settrace")
+    def test_ctrace_settrace_parity(self, make_coverage):
+        """The C tracer reports bit-identical edges to settrace."""
+        fast = make_coverage("ctrace")
+        slow = make_coverage("settrace")
+        assert (fast.backend_name, slow.backend_name) == TRACERS
+        generator = make_generator("bvf", None, FuzzRng(0))
+        programs = []
+        for i in range(60):
+            gp = generator.generate(Kernel(PROFILES["bpf-next"]()))
+            programs.append(BpfProgram(
+                insns=list(gp.insns), prog_type=gp.prog_type,
+                name=f"parity_{i}", offload_dev=gp.offload_dev,
+            ))
         for cov in (fast, slow):
-            self._verify_once(cov)
+            for prog in programs:
+                kernel = Kernel(PROFILES["bpf-next"]())
+                with cov.collect():
+                    try:
+                        kernel.prog_load(prog, sanitize=True)
+                    except (VerifierReject, BpfError):
+                        pass
+        assert fast.edge_count > 500
         assert fast.snapshot_edges() == slow.snapshot_edges()
-        assert fast.edge_count > 0
+
+    @pytest.mark.parametrize("tracer", TRACERS)
+    def test_window_restores_outer_trace(self, make_coverage, tracer):
+        """A debugger's or coverage tool's tracer survives a window."""
+        cov = make_coverage(tracer)
+
+        def outer(frame, event, arg):
+            return None
+
+        saved = sys.gettrace()
+        sys.settrace(outer)
+        try:
+            self._verify_once(cov)
+            restored = sys.gettrace()
+        finally:
+            sys.settrace(saved)
+        assert restored is outer
+        assert cov.edge_count > 0
+
+    @pytest.mark.parametrize("tracer", TRACERS)
+    def test_window_on_second_instance_raises(self, make_coverage, tracer):
+        """The tracer is process-wide: a second instance's window is a
+        re-entry, and it leaves that instance usable afterwards."""
+        outer = make_coverage(tracer)
+        inner = make_coverage(tracer)
+        with outer.collect():
+            with pytest.raises(CoverageReentryError):
+                with inner.collect():
+                    pass  # pragma: no cover
+        self._verify_once(inner)
+        assert inner.edge_count > 0
+        assert inner.last_new == inner.edge_count
 
     def test_replay_marks_new_edges(self):
         cov = VerifierCoverage()
@@ -180,25 +235,6 @@ class TestCoverage:
             ],
         )
         assert snap < cov.snapshot_edges()  # snapshot didn't alias
-
-    def test_merge_counts_new_edges_only(self):
-        a = VerifierCoverage()
-        b = VerifierCoverage()
-        self._verify_once(a)
-        self._verify_once(b)
-        self._verify_once(
-            b,
-            insns=[
-                asm.st_mem(asm.Size.DW, Reg.R10, -8, 1),
-                asm.ldx_mem(asm.Size.DW, Reg.R0, Reg.R10, -8),
-                asm.exit_insn(),
-            ],
-        )
-        extra = b.edge_count - a.edge_count
-        assert extra > 0
-        assert a.merge(b) == extra
-        assert a.edge_count == b.edge_count
-        assert a.merge(b.snapshot_edges()) == 0  # iterable form, idempotent
 
     def test_edge_keys_stable_across_processes(self):
         """Same verification in a child process yields the same edges.
