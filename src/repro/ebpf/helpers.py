@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import errno
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -492,7 +493,13 @@ def _impl_loop(ctx: HelperContext, nr_loops: int, *rest) -> int:
 _TRACING_TYPES = frozenset({"kprobe", "tracepoint", "perf_event", "raw_tracepoint"})
 
 
+@functools.cache
 def _build_protos() -> dict[int, HelperProto]:
+    """The full helper table, built once per process.
+
+    Every :class:`HelperProto` is frozen, so kernels share them; each
+    :class:`HelperRegistry` filters its own copy of the dict.
+    """
     protos = [
         HelperProto(
             HelperId.MAP_LOOKUP_ELEM,

@@ -52,6 +52,23 @@ __all__ = [
     "encode_program",
     "decode_program",
     "program_len",
+    "OP_CLASS",
+    "OP_ALU",
+    "OP_JMP",
+    "OP_SIZE",
+    "OP_MODE",
+    "OP_SRC",
+    "OP_IS_ALU",
+    "OP_IS_JMP",
+    "OP_IS_LDST",
+    "OP_IS_LD_IMM64",
+    "OP_IS_CALL",
+    "OP_IS_EXIT",
+    "OP_IS_COND_JMP",
+    "OP_IS_OFF_JMP",
+    "OP_IS_ATOMIC",
+    "OP_IS_MEMORY_LOAD",
+    "OP_IS_MEMORY_STORE",
 ]
 
 _STRUCT = struct.Struct("<BBhi")
@@ -64,34 +81,54 @@ _U32 = (1 << 32) - 1
 # so each property is a plain tuple index — an order of magnitude
 # cheaper than constructing the enum member through ``EnumType.__call__``
 # on every access, and these are among the hottest calls in a campaign.
-_CLASS_TABLE = tuple(insn_class(op) for op in range(256))
-_ALU_OP_TABLE = tuple(AluOp(op & 0xF0) for op in range(256))
-_JMP_OP_TABLE = tuple(JmpOp(op & 0xF0) for op in range(256))
-_SIZE_TABLE = tuple(Size(op & 0x18) for op in range(256))
-_MODE_TABLE = tuple(Mode(op & 0xE0) for op in range(256))
-_SRC_TABLE = tuple(Src(op & 0x08) for op in range(256))
+# The tables are public so the verifier's per-instruction paths can
+# index them directly (``OP_CLASS[insn.opcode & 0xFF]``): under a
+# coverage tracer every Python-level call, even a one-line property,
+# costs a traced frame.
+OP_CLASS = tuple(insn_class(op) for op in range(256))
+OP_ALU = tuple(AluOp(op & 0xF0) for op in range(256))
+OP_JMP = tuple(JmpOp(op & 0xF0) for op in range(256))
+OP_SIZE = tuple(Size(op & 0x18) for op in range(256))
+OP_MODE = tuple(Mode(op & 0xE0) for op in range(256))
+OP_SRC = tuple(Src(op & 0x08) for op in range(256))
 
-_IS_ALU_TABLE = tuple(is_alu_class(c) for c in _CLASS_TABLE)
-_IS_JMP_TABLE = tuple(is_jmp_class(c) for c in _CLASS_TABLE)
-_IS_LDST_TABLE = tuple(is_ldst_class(c) for c in _CLASS_TABLE)
-_IS_LD_IMM64_TABLE = tuple(
+OP_IS_ALU = tuple(is_alu_class(c) for c in OP_CLASS)
+OP_IS_JMP = tuple(is_jmp_class(c) for c in OP_CLASS)
+OP_IS_LDST = tuple(is_ldst_class(c) for c in OP_CLASS)
+OP_IS_LD_IMM64 = tuple(
     op != 0
-    and _CLASS_TABLE[op] is InsnClass.LD
-    and _MODE_TABLE[op] is Mode.IMM
-    and _SIZE_TABLE[op] is Size.DW
+    and OP_CLASS[op] is InsnClass.LD
+    and OP_MODE[op] is Mode.IMM
+    and OP_SIZE[op] is Size.DW
     for op in range(256)
 )
-_IS_CALL_TABLE = tuple(
-    _CLASS_TABLE[op] is InsnClass.JMP and _JMP_OP_TABLE[op] is JmpOp.CALL
+OP_IS_CALL = tuple(
+    OP_CLASS[op] is InsnClass.JMP and OP_JMP[op] is JmpOp.CALL
     for op in range(256)
 )
-_IS_EXIT_TABLE = tuple(
-    _CLASS_TABLE[op] is InsnClass.JMP and _JMP_OP_TABLE[op] is JmpOp.EXIT
+OP_IS_EXIT = tuple(
+    OP_CLASS[op] is InsnClass.JMP and OP_JMP[op] is JmpOp.EXIT
     for op in range(256)
 )
-_IS_COND_JMP_TABLE = tuple(
-    _IS_JMP_TABLE[op]
-    and _JMP_OP_TABLE[op] not in (JmpOp.JA, JmpOp.CALL, JmpOp.EXIT)
+OP_IS_COND_JMP = tuple(
+    OP_IS_JMP[op] and OP_JMP[op] not in (JmpOp.JA, JmpOp.CALL, JmpOp.EXIT)
+    for op in range(256)
+)
+#: JMP/JMP32 with an ``off`` target: every jump except CALL and EXIT.
+OP_IS_OFF_JMP = tuple(
+    OP_IS_JMP[op] and not OP_IS_CALL[op] and not OP_IS_EXIT[op]
+    for op in range(256)
+)
+OP_IS_ATOMIC = tuple(
+    OP_CLASS[op] is InsnClass.STX and OP_MODE[op] is Mode.ATOMIC
+    for op in range(256)
+)
+OP_IS_MEMORY_LOAD = tuple(
+    OP_CLASS[op] is InsnClass.LDX and OP_MODE[op] in (Mode.MEM, Mode.MEMSX)
+    for op in range(256)
+)
+OP_IS_MEMORY_STORE = tuple(
+    OP_CLASS[op] in (InsnClass.ST, InsnClass.STX) and OP_MODE[op] is Mode.MEM
     for op in range(256)
 )
 
@@ -130,52 +167,52 @@ class Insn:
     @property
     def insn_class(self) -> InsnClass:
         """Instruction class extracted from the opcode byte."""
-        return _CLASS_TABLE[self.opcode & 0xFF]
+        return OP_CLASS[self.opcode & 0xFF]
 
     @property
     def alu_op(self) -> AluOp:
         """ALU operation (only meaningful for ALU/ALU64 classes)."""
-        return _ALU_OP_TABLE[self.opcode & 0xFF]
+        return OP_ALU[self.opcode & 0xFF]
 
     @property
     def jmp_op(self) -> JmpOp:
         """Jump operation (only meaningful for JMP/JMP32 classes)."""
-        return _JMP_OP_TABLE[self.opcode & 0xFF]
+        return OP_JMP[self.opcode & 0xFF]
 
     @property
     def size(self) -> Size:
         """Memory access size (only meaningful for load/store classes)."""
-        return _SIZE_TABLE[self.opcode & 0xFF]
+        return OP_SIZE[self.opcode & 0xFF]
 
     @property
     def mode(self) -> Mode:
         """Addressing mode (only meaningful for load/store classes)."""
-        return _MODE_TABLE[self.opcode & 0xFF]
+        return OP_MODE[self.opcode & 0xFF]
 
     @property
     def src_bit(self) -> Src:
         """Operand source selector (register vs. immediate)."""
-        return _SRC_TABLE[self.opcode & 0xFF]
+        return OP_SRC[self.opcode & 0xFF]
 
     def is_alu(self) -> bool:
-        return _IS_ALU_TABLE[self.opcode & 0xFF]
+        return OP_IS_ALU[self.opcode & 0xFF]
 
     def is_jmp(self) -> bool:
-        return _IS_JMP_TABLE[self.opcode & 0xFF]
+        return OP_IS_JMP[self.opcode & 0xFF]
 
     def is_ldst(self) -> bool:
-        return _IS_LDST_TABLE[self.opcode & 0xFF]
+        return OP_IS_LDST[self.opcode & 0xFF]
 
     def is_ld_imm64(self) -> bool:
         """True for the *first* slot of the 64-bit immediate load."""
-        return _IS_LD_IMM64_TABLE[self.opcode & 0xFF]
+        return OP_IS_LD_IMM64[self.opcode & 0xFF]
 
     def is_filler(self) -> bool:
         """True for the zero-opcode second slot of an LD_IMM64."""
         return self.opcode == 0
 
     def is_call(self) -> bool:
-        return _IS_CALL_TABLE[self.opcode & 0xFF]
+        return OP_IS_CALL[self.opcode & 0xFF]
 
     def is_helper_call(self) -> bool:
         return self.is_call() and self.src == PseudoCall.HELPER
@@ -185,39 +222,29 @@ class Insn:
 
     def is_pseudo_call(self) -> bool:
         """True for bpf-to-bpf subprogram calls."""
-        return _IS_CALL_TABLE[self.opcode & 0xFF] and self.src == PseudoCall.CALL
+        return OP_IS_CALL[self.opcode & 0xFF] and self.src == PseudoCall.CALL
 
     def is_exit(self) -> bool:
-        return _IS_EXIT_TABLE[self.opcode & 0xFF]
+        return OP_IS_EXIT[self.opcode & 0xFF]
 
     def is_cond_jmp(self) -> bool:
         """True for conditional jumps (excludes JA, CALL, EXIT)."""
-        return _IS_COND_JMP_TABLE[self.opcode & 0xFF]
+        return OP_IS_COND_JMP[self.opcode & 0xFF]
 
     def is_uncond_jmp(self) -> bool:
-        return (
-            self.insn_class == InsnClass.JMP
-            and self.jmp_op == JmpOp.JA
-            and not self.is_filler()
-        )
+        op = self.opcode & 0xFF
+        return OP_CLASS[op] is InsnClass.JMP and OP_JMP[op] is JmpOp.JA
 
     def is_atomic(self) -> bool:
-        return self.insn_class == InsnClass.STX and self.mode == Mode.ATOMIC
+        return OP_IS_ATOMIC[self.opcode & 0xFF]
 
     def is_memory_load(self) -> bool:
         """True for LDX MEM/MEMSX loads (the sanitizer's load targets)."""
-        return self.insn_class == InsnClass.LDX and self.mode in (
-            Mode.MEM,
-            Mode.MEMSX,
-        )
+        return OP_IS_MEMORY_LOAD[self.opcode & 0xFF]
 
     def is_memory_store(self) -> bool:
         """True for ST/STX MEM stores (the sanitizer's store targets)."""
-        return (
-            self.insn_class in (InsnClass.ST, InsnClass.STX)
-            and self.mode == Mode.MEM
-            and not self.is_filler()
-        )
+        return OP_IS_MEMORY_STORE[self.opcode & 0xFF]
 
     def pseudo_src(self) -> PseudoSrc:
         """Interpretation of ``src`` for LD_IMM64 instructions."""

@@ -91,8 +91,9 @@ class ContextDescriptor:
 
     def field_covering(self, offset: int, size: int) -> CtxField | None:
         """The field fully containing ``[offset, offset+size)``, if any."""
+        end = offset + size
         for f in self.fields:
-            if f.offset <= offset and offset + size <= f.end:
+            if f.offset <= offset and end <= f.offset + f.size:
                 return f
         return None
 

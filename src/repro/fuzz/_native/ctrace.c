@@ -7,6 +7,14 @@
  * collection through PyEval_SetTrace, where an event costs a C call
  * and a hash-table insert.
  *
+ * On CPython 3.11 a trace function makes *every* Python call pay, in
+ * scope or not: the frame object is materialised and the callback
+ * runs on call and return.  Most calls land in out-of-scope helpers,
+ * so the per-call path is kept O(1): a code object's classification
+ * is cached in its own co_extra slot (no dict lookup, which would
+ * re-hash the code object), and out-of-scope frames have their line
+ * events switched off through a once-interned attribute name.
+ *
  * Edge keys are BIT-IDENTICAL to the settrace backend in
  * repro/fuzz/coverage.py:
  *
@@ -28,6 +36,10 @@
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
+
+#if UINTPTR_MAX < 0xffffffffffffffffull
+#error "ctrace packs a 64-bit classification into a co_extra pointer"
+#endif
 
 #define LINE_BITS 15
 #define LINE_MASK ((1u << LINE_BITS) - 1)
@@ -135,9 +147,9 @@ typedef struct {
 #define MAX_DEPTH 256
 
 typedef struct {
-    PyObject *scope_ids;      /* dict: code object -> int code_id, or None */
     PyObject *prefix;         /* str: traced filename prefix */
     PyObject *basenames;      /* set/frozenset of traced basenames, or NULL */
+    uint32_t generation;      /* scope generation tagging co_extra entries */
     edgeset edges;
     frame_entry stack[MAX_DEPTH];
     int depth;
@@ -146,22 +158,18 @@ typedef struct {
 
 static tracer_state T;
 
-/* code_id for a code object, computing and caching on first sight.
- * Returns 0 for out-of-scope code (crc32 of a non-empty identity
- * string is never 0 in practice; collisions with 0 would only drop
- * that one function from coverage, deterministically). */
-static uint64_t
-code_id_for(PyCodeObject *code)
-{
-    PyObject *cached = PyDict_GetItemWithError(T.scope_ids, (PyObject *)code);
-    if (cached) {
-        if (cached == Py_None)
-            return 0;
-        return (uint64_t)PyLong_AsUnsignedLong(cached);
-    }
-    if (PyErr_Occurred())
-        PyErr_Clear();
+/* co_extra slot holding each code object's classification, and the
+ * interned attribute name set on out-of-scope frames. */
+static Py_ssize_t extra_index = -1;
+static PyObject *f_trace_lines_name;
 
+/* Compute a code object's code_id: crc32 of its stable identity if
+ * its file is in scope, else 0 (crc32 of a non-empty identity string
+ * is never 0 in practice; collisions with 0 would only drop that one
+ * function from coverage, deterministically). */
+static uint64_t
+classify(PyCodeObject *code)
+{
     PyObject *filename = code->co_filename;
     uint64_t result = 0;
     if (PyUnicode_Check(filename) &&
@@ -206,15 +214,36 @@ code_id_for(PyCodeObject *code)
             result = 0;
         }
     }
-
-    PyObject *value = result ? PyLong_FromUnsignedLong((unsigned long)result)
-                             : Py_NewRef(Py_None);
-    if (value) {
-        if (PyDict_SetItem(T.scope_ids, (PyObject *)code, value) < 0)
-            PyErr_Clear();
-        Py_DECREF(value);
-    }
     return result;
+}
+
+/* code_id for a code object, classified once per scope generation.
+ *
+ * On 3.11 every frame pays the trace dispatch, so this runs on every
+ * Python call in the process, in scope or not.  A dict keyed by the
+ * code object would re-hash it each time (a code object does not
+ * cache its hash: co_consts, names and bytecode are hashed anew), so
+ * the classification lives in the code object's own co_extra slot,
+ * packed into the pointer as (generation << 32) | code_id.  A start()
+ * with a different scope bumps the generation, which makes every
+ * earlier entry stale. */
+static uint64_t
+code_id_for(PyCodeObject *code)
+{
+    void *extra = NULL;
+    if (_PyCode_GetExtra((PyObject *)code, extra_index, &extra) < 0) {
+        PyErr_Clear();
+        extra = NULL;
+    }
+    uint64_t tag = (uint64_t)(uintptr_t)extra;
+    if ((uint32_t)(tag >> 32) == T.generation)
+        return tag & 0xffffffffu;
+    uint64_t cid = classify(code);
+    tag = ((uint64_t)T.generation << 32) | cid;
+    if (_PyCode_SetExtra((PyObject *)code, extra_index,
+                         (void *)(uintptr_t)tag) < 0)
+        PyErr_Clear();
+    return cid;
 }
 
 static int
@@ -229,8 +258,8 @@ trace_func(PyObject *obj, PyFrameObject *frame, int what, PyObject *arg)
         Py_DECREF(code);
         if (cid == 0) {
             /* Out of scope: stop line events for this frame entirely. */
-            if (PyObject_SetAttrString((PyObject *)frame, "f_trace_lines",
-                                       Py_False) < 0)
+            if (PyObject_SetAttr((PyObject *)frame, f_trace_lines_name,
+                                 Py_False) < 0)
                 PyErr_Clear();
             return 0;
         }
@@ -284,12 +313,16 @@ ctrace_start(PyObject *self, PyObject *args)
     }
     if (edgeset_init(&T.edges, 4096) < 0)
         return PyErr_NoMemory();
-    /* Scope parameters feed the per-code-object cache; a different
-     * (prefix, basenames) pair invalidates previous classifications.
+    /* Scope parameters feed the per-code-object classification; a
+     * different (prefix, basenames) pair starts a new generation, so
+     * every classification cached under the old one is recomputed.
      * The common case — every window uses the same scope objects — is
-     * an identity comparison and keeps the cache warm. */
-    if (T.prefix != prefix || T.basenames != basenames)
-        PyDict_Clear(T.scope_ids);
+     * an identity comparison and keeps the cache warm.  Generation 0
+     * means "never classified" (an empty co_extra slot). */
+    if (T.prefix != prefix || T.basenames != basenames) {
+        if (++T.generation == 0)
+            T.generation = 1;
+    }
     Py_INCREF(prefix);
     Py_XSETREF(T.prefix, prefix);
     Py_XINCREF(basenames);
@@ -351,8 +384,17 @@ PyMODINIT_FUNC
 PyInit__bvf_ctrace(void)
 {
     crc_init();
-    T.scope_ids = PyDict_New();
-    if (!T.scope_ids)
+    if (extra_index < 0) {
+        /* The classification is packed into the slot pointer itself,
+         * so nothing needs freeing when a code object dies. */
+        extra_index = _PyEval_RequestCodeExtraIndex(NULL);
+        if (extra_index < 0) {
+            PyErr_SetString(PyExc_RuntimeError, "no free co_extra index");
+            return NULL;
+        }
+    }
+    f_trace_lines_name = PyUnicode_InternFromString("f_trace_lines");
+    if (!f_trace_lines_name)
         return NULL;
     return PyModule_Create(&ctrace_module);
 }

@@ -23,6 +23,16 @@ Two tracers record the same edges:
 ``settrace`` otherwise; the two produce bit-identical edge keys, so
 the choice changes speed, never the measured coverage.
 
+On CPython 3.11 a tracer's cost is per call and per frame: once one is
+installed, *every* Python call in the process pays the trace dispatch,
+including the many out-of-scope calls into ``tnum``/``state``/``insn``
+helpers.  ``ctrace`` therefore keeps its per-call path O(1) by caching
+each code object's classification in the code object itself (a
+``co_extra`` slot, tagged with a scope generation), and the verifier's
+per-instruction paths avoid Python-level helper calls where a table
+index or an inlined expression does the same (the call budget in
+``tests/fuzz/test_corpus_coverage.py`` keeps them from creeping back).
+
 Edge keys are **stable across processes**: they are composed from a
 CRC32 of the code object's file/qualname/first-line identity plus the
 line pair, never from :func:`hash` (whose string hashing is salted per
@@ -136,11 +146,17 @@ def _load_ctrace():
     ``Python.h``, exotic platform) are cached and silent: the
     ``sys.settrace`` tracer is always available as the fallback, so a
     build problem must never break a campaign, only slow it down.
+
+    The built file's name carries a digest of ``ctrace.c``, so a source
+    change always means a rebuild, whatever the two files' mtimes say
+    (a copied tree, or two checkouts of different revisions).  Builds
+    of other digests are deleted.
     """
     global _CTRACE_MODULE
     if _CTRACE_MODULE is not None:
         return _CTRACE_MODULE or None
 
+    import hashlib
     import importlib.util
     import shutil
     import subprocess
@@ -150,36 +166,41 @@ def _load_ctrace():
                               "_native")
     source = os.path.join(native_dir, "ctrace.c")
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    target = os.path.join(native_dir, f"_bvf_ctrace{suffix}")
-
-    def _import_built():
-        spec = importlib.util.spec_from_file_location("_bvf_ctrace", target)
-        if spec is None or spec.loader is None:
-            return None
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     try:
-        if (not os.path.exists(target)
-                or os.path.getmtime(target) < os.path.getmtime(source)):
+        with open(source, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+        target = os.path.join(native_dir, f"_bvf_ctrace-{digest}{suffix}")
+        if not os.path.exists(target):
             compiler = shutil.which("cc") or shutil.which("gcc")
             include = sysconfig.get_path("include")
             if compiler is None or include is None:
                 raise OSError("no C compiler or Python headers")
+            # Build under a private name and rename into place, so a
+            # concurrent process never imports a half-written file.
+            scratch = f"{target}.{os.getpid()}.tmp"
             subprocess.run(
                 [compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
-                 source, "-o", target],
+                 source, "-o", scratch],
                 check=True, capture_output=True, timeout=120,
             )
-        _CTRACE_MODULE = _import_built()
+            os.replace(scratch, target)
+            for name in os.listdir(native_dir):
+                stale = os.path.join(native_dir, name)
+                if (name.startswith("_bvf_ctrace") and name.endswith(suffix)
+                        and stale != target):
+                    try:
+                        os.remove(stale)
+                    except OSError:
+                        pass
+        spec = importlib.util.spec_from_file_location("_bvf_ctrace", target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     except Exception:
         _CTRACE_MODULE = False
         return None
-    if _CTRACE_MODULE is None:
-        _CTRACE_MODULE = False
-        return None
-    return _CTRACE_MODULE
+    _CTRACE_MODULE = module
+    return module
 
 
 class _CtraceBackend:

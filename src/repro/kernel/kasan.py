@@ -78,10 +78,17 @@ class KernelMemory:
     detectable by the checked path and silently readable by the raw
     path, matching KASAN's quarantine behaviour closely enough for the
     oracle.
+
+    The arena is zero-filled and grows on demand: it always spans every
+    address :meth:`in_arena` accepts (the bump pointer plus one
+    redzone), so every access sees the bytes a larger up-front arena
+    would hold.  ``arena_size`` is only the initial capacity; a fresh
+    kernel allocates a few hundred bytes, so zero-filling a large arena
+    at every boot would be wasted work.
     """
 
-    def __init__(self, arena_size: int = 1 << 20) -> None:
-        self._arena = bytearray(arena_size)
+    def __init__(self, arena_size: int = 1 << 12) -> None:
+        self._arena = bytearray(max(arena_size, REDZONE))
         self._brk = 0
         #: allocation start offsets, sorted, for bisect lookup
         self._starts: list[int] = []
@@ -107,8 +114,9 @@ class KernelMemory:
             raise MemoryError(f"kmalloc({size}) exceeds KMALLOC_MAX_SIZE")
         aligned = -(-size // _ALIGN) * _ALIGN
         needed = aligned + REDZONE
-        if self._brk + needed > len(self._arena):
-            self._grow(self._brk + needed)
+        # in_arena() admits one redzone past the bump pointer.
+        if self._brk + needed + REDZONE > len(self._arena):
+            self._grow(self._brk + needed + REDZONE)
         start = self._brk
         self._brk += needed
         alloc = Allocation(start=KERNEL_BASE + start, size=size, tag=tag)

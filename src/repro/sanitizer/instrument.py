@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.ebpf import asm
-from repro.ebpf.insn import Insn
+from repro.ebpf.insn import (
+    OP_IS_ATOMIC,
+    OP_IS_MEMORY_LOAD,
+    OP_IS_MEMORY_STORE,
+    OP_SIZE,
+    Insn,
+)
 from repro.ebpf.opcodes import Reg, SIZE_BYTES
 from repro.sanitizer.asan_funcs import ASAN_LOAD, ASAN_STORE
 
@@ -77,19 +83,18 @@ def _build_insertions(
     skipped_r10 = 0
 
     for idx, insn in enumerate(insns):
-        if insn.is_filler():
-            continue
-        if insn.is_memory_load():
-            base, size = insn.src, SIZE_BYTES[insn.size]
+        op = insn.opcode & 0xFF
+        if OP_IS_MEMORY_LOAD[op]:
+            base, size = insn.src, SIZE_BYTES[OP_SIZE[op]]
             is_write = False
             table = ASAN_LOAD
-        elif insn.is_memory_store():
-            base, size = insn.dst, SIZE_BYTES[insn.size]
+        elif OP_IS_MEMORY_STORE[op]:
+            base, size = insn.dst, SIZE_BYTES[OP_SIZE[op]]
             is_write = True
             table = ASAN_STORE
-        elif insn.is_atomic():
+        elif OP_IS_ATOMIC[op]:
             # Atomics both read and write; check as a write (strictest).
-            base, size = insn.dst, SIZE_BYTES[insn.size]
+            base, size = insn.dst, SIZE_BYTES[OP_SIZE[op]]
             is_write = True
             table = ASAN_STORE
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import errno
 
-from repro.ebpf.insn import Insn
+from repro.ebpf.insn import Insn, OP_ALU, OP_CLASS
 from repro.ebpf.opcodes import AluOp, InsnClass, Reg, Size, Src, SIZE_BYTES
 from repro.ebpf.program import PACKET_ACCESS_TYPES
 from repro.kernel.config import Flaw
@@ -401,9 +401,9 @@ def pointer_alu(v, state, insn: Insn, dst: RegState, src: RegState) -> None:
 
 def check_alu(v, state, insn: Insn) -> None:
     """Verify one ALU/ALU64 instruction and update the state."""
-    is64 = insn.insn_class == InsnClass.ALU64
-    regs = state.regs
-    op = insn.alu_op
+    is64 = OP_CLASS[insn.opcode & 0xFF] == InsnClass.ALU64
+    regs = state.frames[-1].regs
+    op = OP_ALU[insn.opcode & 0xFF]
 
     # Profiler op-kind attribution (scalar ALU is the hottest opcode
     # class, so the disabled cost must stay at one flag test).
@@ -420,7 +420,7 @@ def check_alu(v, state, insn: Insn) -> None:
 
     # Unary operations.
     if op == AluOp.NEG:
-        if insn.src_bit == Src.X or insn.src or insn.imm or insn.off:
+        if insn.opcode & Src.X or insn.src or insn.imm or insn.off:
             v.reject(errno.EINVAL, "BPF_NEG uses reserved fields")
         if dst.type == RegType.NOT_INIT:
             v.reject(errno.EACCES, f"R{insn.dst} !read_ok")
@@ -441,7 +441,7 @@ def check_alu(v, state, insn: Insn) -> None:
         return
 
     # Source operand.
-    if insn.src_bit == Src.X:
+    if insn.opcode & Src.X:
         if insn.imm:
             v.reject(errno.EINVAL, "BPF_ALU uses reserved imm field")
         src = regs[insn.src]
@@ -454,10 +454,10 @@ def check_alu(v, state, insn: Insn) -> None:
         src = RegState.const_scalar(imm)
 
     # Immediate shift validation (kernel rejects at load time).
-    if op in (AluOp.LSH, AluOp.RSH, AluOp.ARSH) and insn.src_bit == Src.K:
+    if op in (AluOp.LSH, AluOp.RSH, AluOp.ARSH) and not insn.opcode & Src.X:
         if insn.imm < 0 or insn.imm >= (64 if is64 else 32):
             v.reject(errno.EINVAL, f"invalid shift {insn.imm}")
-    if op in (AluOp.DIV, AluOp.MOD) and insn.src_bit == Src.K and insn.imm == 0:
+    if op in (AluOp.DIV, AluOp.MOD) and not insn.opcode & Src.X and insn.imm == 0:
         v.reject(errno.EINVAL, "division by zero")
 
     # MOV has its own semantics (full state copy).
@@ -467,7 +467,7 @@ def check_alu(v, state, insn: Insn) -> None:
                 v.reject(errno.EACCES, f"R{insn.dst} partial copy of pointer")
             regs[insn.dst] = src.clone()
             return
-        if is64 and insn.src_bit == Src.X:
+        if is64 and insn.opcode & Src.X:
             # Track register equality for find_equal_scalars.  The id
             # is written back into the *source* register, so it needs
             # its own COW view.
@@ -705,7 +705,7 @@ def check_mem_access(
     src_reg: RegState | None = None,
 ) -> RegState | None:
     """Validate one memory access; returns the loaded state for reads."""
-    reg = state.regs[ptr_regno]
+    reg = state.frames[-1].regs[ptr_regno]
 
     if reg.type == RegType.NOT_INIT:
         v.reject(errno.EACCES, f"R{ptr_regno} !read_ok")

@@ -24,20 +24,20 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import VerifierReject
-from repro.ebpf.insn import Insn
+from repro.ebpf.insn import (
+    OP_CLASS,
+    OP_IS_CALL,
+    OP_IS_COND_JMP,
+    OP_IS_LD_IMM64,
+    OP_IS_OFF_JMP,
+    OP_JMP,
+    OP_MODE,
+    OP_SIZE,
+    Insn,
+)
 from repro.ebpf.opcodes import (
-    AluOp,
-    AtomicOp,
-    InsnClass,
-    JmpOp,
-    Mode,
-    PseudoCall,
-    PseudoSrc,
-    Reg,
-    Size,
-    Src,
-    SIZE_BYTES,
-    STACK_SIZE,
+    AluOp, AtomicOp, InsnClass, JmpOp, Mode, PseudoCall, PseudoSrc, Reg,
+    Size, Src, SIZE_BYTES, STACK_SIZE,
 )
 from repro.ebpf.program import BpfProgram, ProgType, VerifiedProgram
 from repro.kernel.config import Flaw
@@ -322,21 +322,21 @@ class Verifier:
             # structural rejections (reject events / the explainer).
             self.cur_insn_idx = idx
             if expect_filler:
-                if not insn.is_filler():
+                if insn.opcode != 0:  # not the LD_IMM64 filler slot
                     self.reject(errno.EINVAL, f"invalid LD_IMM64 pair at {idx - 1}")
                 expect_filler = False
                 continue
-            if insn.is_filler():
+            if insn.opcode == 0:  # a filler slot outside a pair
                 self.reject(errno.EINVAL, f"unexpected zero opcode at {idx}")
             self._check_insn_fields(idx, insn)
-            if insn.is_ld_imm64():
+            if OP_IS_LD_IMM64[insn.opcode & 0xFF]:
                 expect_filler = True
                 self._ld_imm64_idxs.append(idx)
         if expect_filler:
             self.reject(errno.EINVAL, "LD_IMM64 missing second slot")
 
         last = insns[-1]
-        if not (last.is_exit() or last.is_filler() and len(insns) >= 2):
+        if not (last.is_exit() or last.opcode == 0 and len(insns) >= 2):
             if not last.is_exit():
                 self.reject(errno.EINVAL, "last insn is not an exit or jmp")
 
@@ -382,28 +382,28 @@ class Verifier:
     def _check_jump_targets(self) -> None:
         n = len(self.insns)
         for idx, insn in enumerate(self.insns):
-            if insn.is_filler():
+            if insn.opcode == 0:  # LD_IMM64 filler slot
                 continue
             self.cur_insn_idx = idx
             target = None
-            if insn.is_pseudo_call():
+            if OP_IS_CALL[insn.opcode & 0xFF] and insn.src == PseudoCall.CALL:
                 target = idx + insn.imm + 1
-            elif insn.is_jmp() and not insn.is_call() and not insn.is_exit():
+            elif OP_IS_OFF_JMP[insn.opcode & 0xFF]:
                 target = idx + insn.off + 1
             if target is None:
                 continue
             if not 0 <= target < n:
                 self.reject(errno.EINVAL, f"jump out of range from {idx} to {target}")
-            if self.insns[target].is_filler():
+            if self.insns[target].opcode == 0:
                 self.reject(
                     errno.EINVAL, f"jump into the middle of ldimm64 at {idx}"
                 )
-            if target <= idx and not insn.is_pseudo_call():
+            if target <= idx and not OP_IS_CALL[insn.opcode & 0xFF]:
                 # Back edge: its target must never be pruned — a state
                 # repeating there is an infinite loop, not progress.
                 self._loop_headers.add(target)
             self._prune_points.add(target)
-            if insn.is_cond_jmp():
+            if OP_IS_COND_JMP[insn.opcode & 0xFF]:
                 self._prune_points.add(idx + 1)
 
     # --- pseudo resolution --------------------------------------------------------
@@ -412,7 +412,7 @@ class Verifier:
         for idx in self._ld_imm64_idxs:
             self.cur_insn_idx = idx
             insn = self.insns[idx]
-            kind = PseudoSrc(insn.src)
+            kind = insn.src  # a PseudoSrc value: _check_insn_fields bounds it
             if kind == PseudoSrc.RAW:
                 continue
             if kind == PseudoSrc.MAP_FD:
@@ -562,7 +562,7 @@ class Verifier:
             if not 0 <= idx < len(self.insns):
                 self.reject(errno.EACCES, f"fell off the end at insn {idx}")
             insn = self.insns[idx]
-            if insn.is_filler():
+            if insn.opcode == 0:  # LD_IMM64 filler slot
                 self.reject(errno.EINVAL, f"reached ldimm64 filler at {idx}")
             self.cur_insn_idx = idx
 
@@ -624,7 +624,7 @@ class Verifier:
 
     def _step(self, state: VerifierState, insn: Insn) -> VerifierState | None:
         """Verify one instruction; returns the continuing state."""
-        cls = insn.insn_class
+        cls = OP_CLASS[insn.opcode & 0xFF]
         idx = state.insn_idx
 
         if cls in (InsnClass.ALU, InsnClass.ALU64):
@@ -636,21 +636,21 @@ class Verifier:
             state.insn_idx = idx + 2
             return state
         if cls == InsnClass.LDX:
-            size = SIZE_BYTES[insn.size]
+            size = SIZE_BYTES[OP_SIZE[insn.opcode & 0xFF]]
             result = check_mem_access(
                 self, state, insn, insn.src, insn.off, size, is_write=False
             )
             if result is None:
                 result = RegState.unknown_scalar()
-            if insn.mode == Mode.MEMSX and result.is_scalar():
+            if OP_MODE[insn.opcode & 0xFF] == Mode.MEMSX and result.is_scalar():
                 result = RegState.unknown_scalar()
             if insn.dst == Reg.R10:
                 self.reject(errno.EACCES, "frame pointer is read only")
-            state.regs[insn.dst] = result
+            state.frames[-1].regs[insn.dst] = result
             state.insn_idx = idx + 1
             return state
         if cls == InsnClass.ST:
-            size = SIZE_BYTES[insn.size]
+            size = SIZE_BYTES[OP_SIZE[insn.opcode & 0xFF]]
             check_mem_access(
                 self,
                 state,
@@ -664,13 +664,13 @@ class Verifier:
             state.insn_idx = idx + 1
             return state
         if cls == InsnClass.STX:
-            if insn.mode == Mode.ATOMIC:
+            if OP_MODE[insn.opcode & 0xFF] == Mode.ATOMIC:
                 self._do_atomic(state, insn)
             else:
-                src_reg = state.regs[insn.src]
+                src_reg = state.frames[-1].regs[insn.src]
                 if src_reg.type == RegType.NOT_INIT:
                     self.reject(errno.EACCES, f"R{insn.src} !read_ok")
-                size = SIZE_BYTES[insn.size]
+                size = SIZE_BYTES[OP_SIZE[insn.opcode & 0xFF]]
                 if src_reg.is_pointer() and size != 8:
                     self.reject(
                         errno.EACCES, f"R{insn.src} partial spill of a pointer"
@@ -688,7 +688,7 @@ class Verifier:
             state.insn_idx = idx + 1
             return state
         # JMP / JMP32
-        op = insn.jmp_op
+        op = OP_JMP[insn.opcode & 0xFF]
         if op == JmpOp.JA:
             state.insn_idx = idx + insn.off + 1
             return state
@@ -725,8 +725,8 @@ class Verifier:
             self.reject(errno.EINVAL, f"unhandled pseudo ref {kind}")
 
     def _do_atomic(self, state: VerifierState, insn: Insn) -> None:
-        size = SIZE_BYTES[insn.size]
-        src_reg = state.regs[insn.src]
+        size = SIZE_BYTES[OP_SIZE[insn.opcode & 0xFF]]
+        src_reg = state.frames[-1].regs[insn.src]
         if src_reg.type == RegType.NOT_INIT:
             self.reject(errno.EACCES, f"R{insn.src} !read_ok")
         if src_reg.is_pointer():
@@ -795,7 +795,7 @@ class Verifier:
 
     def _do_call(self, state: VerifierState, insn: Insn) -> VerifierState | None:
         idx = state.insn_idx
-        if insn.is_pseudo_call():
+        if OP_IS_CALL[insn.opcode & 0xFF] and insn.src == PseudoCall.CALL:
             target = idx + insn.imm + 1
             if state.call_depth >= MAX_CALL_DEPTH:
                 self.reject(
@@ -808,7 +808,7 @@ class Verifier:
                     errno.EACCES,
                     f"combined stack size of {state.call_depth} calls is too large",
                 )
-            caller = state.cur
+            caller = state.frames[-1]
             callee = FuncFrame.entry(
                 RegState.not_init(),
                 frameno=caller.frameno + 1,
@@ -822,7 +822,7 @@ class Verifier:
             state.frames.append(callee)
             state.insn_idx = target
             return state
-        if insn.is_kfunc_call():
+        if OP_IS_CALL[insn.opcode & 0xFF] and insn.src == PseudoCall.KFUNC:
             check_kfunc_call(self, state, insn)
             if self.sanity is not None:
                 self.sanity.check_state(state, "kfunc-return", idx)
@@ -836,12 +836,12 @@ class Verifier:
 
     def _do_cond_jmp(self, state: VerifierState, insn: Insn) -> VerifierState | None:
         idx = state.insn_idx
-        is64 = insn.insn_class == InsnClass.JMP
-        regs = state.regs
+        is64 = OP_CLASS[insn.opcode & 0xFF] == InsnClass.JMP
+        regs = state.frames[-1].regs
         dst = regs[insn.dst]
         if dst.type == RegType.NOT_INIT:
             self.reject(errno.EACCES, f"R{insn.dst} !read_ok")
-        if insn.src_bit == Src.X:
+        if insn.opcode & Src.X:
             if insn.imm:
                 self.reject(errno.EINVAL, "BPF_JMP uses reserved imm field")
             src = regs[insn.src]
@@ -854,11 +854,11 @@ class Verifier:
                 insn.imm if is64 else insn.imm & 0xFFFFFFFF
             )
 
-        op = insn.jmp_op
+        op = OP_JMP[insn.opcode & 0xFF]
         if self.observer.profiling:
             self.observer.jmp_op(op, is64)
         taken = branches.is_branch_taken(dst, src, op, is64)
-        if taken == -1 and insn.src_bit == Src.X:
+        if taken == -1 and insn.opcode & Src.X:
             swapped = branches.is_branch_taken(src, dst, _SWAP_OP.get(op, op), is64)
             if swapped != -1:
                 taken = swapped
@@ -882,7 +882,7 @@ class Verifier:
         # the aliasing the in-place updates rely on.
         t_dst = taken_state.wreg(insn.dst)
         f_dst = state.wreg(insn.dst)
-        if insn.src_bit == Src.X:
+        if insn.opcode & Src.X:
             t_src = taken_state.wreg(insn.src)
             f_src = state.wreg(insn.src)
         else:
@@ -918,7 +918,7 @@ class Verifier:
     def _apply_branch_knowledge(
         self, insn, false_state, taken_state, t_dst, t_src, f_dst, f_src, is64
     ) -> None:
-        op = insn.jmp_op
+        op = OP_JMP[insn.opcode & 0xFF]
 
         # Maybe-null pointer compared against zero.
         if op in (JmpOp.JEQ, JmpOp.JNE) and is64:

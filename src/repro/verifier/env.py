@@ -38,10 +38,13 @@ from repro.ebpf.opcodes import Reg
 from repro.verifier.log import VerifierLog
 from repro.verifier.stack import SlotType, StackState
 from repro.verifier.state import (
-    MAYBE_NULL_TYPES,
+    _NOT_INIT,
+    _PACKET,
+    _PACKET_END,
+    _PACKET_META,
+    _SCALAR,
     RegState,
     RegType,
-    regs_equal_scalar_range,
 )
 
 __all__ = [
@@ -133,11 +136,11 @@ class VerifierState:
 
     @property
     def regs(self) -> list[RegState]:
-        return self.cur.regs
+        return self.frames[-1].regs
 
     @property
     def stack(self) -> StackState:
-        return self.cur.stack
+        return self.frames[-1].stack
 
     @property
     def call_depth(self) -> int:
@@ -146,7 +149,7 @@ class VerifierState:
     def clone(self) -> "VerifierState":
         """Copy-on-write clone (see :meth:`FuncFrame.clone`)."""
         new = VerifierState.__new__(VerifierState)
-        new.frames = [f.clone() for f in self.frames]
+        new.frames = list(map(FuncFrame.clone, self.frames))
         new.insn_idx = self.insn_idx
         new.parent_idx = self.parent_idx
         new.refs = dict(self.refs)
@@ -154,7 +157,7 @@ class VerifierState:
         return new
 
     def reg(self, index: int) -> RegState:
-        return self.cur.regs[index]
+        return self.frames[-1].regs[index]
 
     def wreg(self, index: int) -> RegState:
         """A writable register in the current frame (COW entry point)."""
@@ -163,30 +166,31 @@ class VerifierState:
 
 def _reg_subsumed(old: RegState, new: RegState) -> bool:
     """``regsafe``: is exploring ``new`` redundant given ``old`` passed?"""
-    if old.type == RegType.NOT_INIT:
+    old_type = old.type
+    if old_type is _NOT_INIT:
         # The old path never relied on this register.
         return True
-    if old.is_scalar():
-        if not new.is_scalar():
+    if old_type is _SCALAR:
+        if new.type is not _SCALAR:
             # Conservatively re-verify when a scalar became a pointer.
             return False
-        return regs_equal_scalar_range(old, new)
-    if old.type != new.type:
-        return False
-    if old.off != new.off:
-        return False
-    if old.map is not new.map or old.btf is not new.btf:
-        return False
-    if old.mem_size != new.mem_size:
-        return False
-    if old.is_pkt_pointer() or old.type == RegType.PTR_TO_PACKET_END:
-        # The new pointer must have at least as much verified range.
-        if new.pkt_range < old.pkt_range:
+    else:
+        if old_type is not new.type:
             return False
-    # Variable offset parts must also be subsumed — the same range
-    # check regs_equal_scalar_range performs, applied directly to the
-    # pointers' scalar components (both are scalar by construction, so
-    # the type guards are vacuous).
+        if old.off != new.off:
+            return False
+        if old.map is not new.map or old.btf is not new.btf:
+            return False
+        if old.mem_size != new.mem_size:
+            return False
+        if (old_type is _PACKET or old_type is _PACKET_META
+                or old_type is _PACKET_END):
+            # The new pointer must have at least as much verified range.
+            if new.pkt_range < old.pkt_range:
+                return False
+    # Scalars, and the variable offset part of pointers, must be
+    # subsumed as ranges: ``regs_equal_scalar_range``, inlined, with
+    # its type guards already settled above.
     if not (
         old.umin <= new.umin
         and new.umax <= old.umax
@@ -208,7 +212,7 @@ def _stack_subsumed(old: StackState, new: StackState) -> bool:
     if old._slots is new._slots:
         return True
     for slot_idx, old_slot in old.iter_slots():
-        new_slot = new.get_slot(slot_idx)
+        new_slot = new._slots.get(slot_idx)
         if new_slot is old_slot:
             continue
         for byte_idx, old_type in enumerate(old_slot.bytes):
@@ -254,17 +258,15 @@ def states_equal(old: VerifierState, new: VerifierState) -> bool:
         if old_frame.callsite != new_frame.callsite:
             return False
         for old_reg, new_reg in zip(old_frame.regs, new_frame.regs):
+            # Subsumption is reflexive and a NOT_INIT old register
+            # subsumes anything: skip both without a call.
+            if old_reg is new_reg or old_reg.type is _NOT_INIT:
+                continue
             if not _reg_subsumed(old_reg, new_reg):
                 return False
         if not _stack_subsumed(old_frame.stack, new_frame.stack):
             return False
     return True
-
-
-#: bound once: looking up an Enum member on its class is slow, and
-#: :func:`state_shape` runs on every prune lookup
-_SCALAR = RegType.SCALAR
-_NOT_INIT = RegType.NOT_INIT
 
 
 def state_shape(state: VerifierState) -> list:

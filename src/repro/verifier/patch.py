@@ -16,7 +16,8 @@ load's sanitation.
 
 from __future__ import annotations
 
-from repro.ebpf.insn import Insn
+from repro.ebpf.insn import OP_IS_CALL, OP_IS_OFF_JMP, Insn
+from repro.ebpf.opcodes import PseudoCall
 
 __all__ = ["insert_before"]
 
@@ -53,16 +54,15 @@ def insert_before(
 
     # Re-target jumps and bpf-to-bpf calls.
     for i, insn in enumerate(insns):
-        if insn.is_filler():
-            continue
+        op = insn.opcode & 0xFF
         new_idx = index_map[i]
-        if insn.is_pseudo_call():
+        if OP_IS_CALL[op] and insn.src == PseudoCall.CALL:
             target = i + insn.imm + 1
             new_target = entry_map.get(target, target)
             new_imm = new_target - new_idx - 1
             if new_imm != insn.imm:
                 new_insns[new_idx] = insn.with_(imm=new_imm)
-        elif insn.is_jmp() and not insn.is_call() and not insn.is_exit():
+        elif OP_IS_OFF_JMP[op]:
             target = i + insn.off + 1
             new_target = entry_map.get(target, target)
             new_off = new_target - new_idx - 1

@@ -33,6 +33,14 @@ class SlotType(enum.Enum):
     SPILL = "r"
 
 
+# Bound once: on 3.11 an Enum member lookup on its class is slow, and
+# the byte loops below run for every stack access.
+_INVALID = SlotType.INVALID
+_MISC = SlotType.MISC
+_ZERO = SlotType.ZERO
+_SPILL = SlotType.SPILL
+
+
 @dataclass
 class _Slot:
     """One 8-byte stack slot: per-byte types plus an optional spill."""
@@ -51,8 +59,9 @@ class _Slot:
         )
 
     def is_full_spill(self) -> bool:
-        return self.spilled is not None and all(
-            b == SlotType.SPILL for b in self.bytes
+        return (
+            self.spilled is not None
+            and self.bytes.count(_SPILL) == len(self.bytes)
         )
 
 
@@ -99,7 +108,7 @@ class StackState:
         self._own_slots()
         slot = self._slots.get(index)
         if slot is None:
-            slot = _Slot()
+            slot = _Slot([_INVALID] * 8)
             self._slots[index] = slot
         elif slot.shared:
             spilled = slot.spilled
@@ -163,13 +172,20 @@ class StackState:
         self._note_depth(off)
 
     def write_misc(self, off: int, size: int, zero: bool = False) -> None:
-        """A store of scalar data (or a misaligned/partial store)."""
-        kind = SlotType.ZERO if zero else SlotType.MISC
+        """A store of scalar data (or a misaligned/partial store).
+
+        Each touched slot is made writable and has its spill degraded
+        once, on its first byte; :meth:`_slot_and_byte` is inlined.
+        """
+        kind = _ZERO if zero else _MISC
+        slot_idx = None
         for i in range(size):
-            slot_idx, byte_idx = self._slot_and_byte(off + i)
-            slot = self._wslot(slot_idx)
-            self._degrade_spill(slot)
-            slot.bytes[byte_idx] = kind
+            pos = -(off + i) - 1
+            if pos // 8 != slot_idx:
+                slot_idx = pos // 8
+                slot = self._wslot(slot_idx)
+                self._degrade_spill(slot)
+            slot.bytes[7 - pos % 8] = kind
         self._note_depth(off)
 
     # --- reads -------------------------------------------------------------------
@@ -203,11 +219,11 @@ class StackState:
 
     def check_region_initialized(self, off: int, size: int) -> str:
         """Helpers reading a stack region require every byte written."""
+        slots = self._slots
         for i in range(size):
-            slot_idx, byte_idx = self._slot_and_byte(off + i)
-            slot = self._slots.get(slot_idx)
-            kind = slot.bytes[byte_idx] if slot else SlotType.INVALID
-            if kind == SlotType.INVALID:
+            pos = -(off + i) - 1  # :meth:`_slot_and_byte`, inlined
+            slot = slots.get(pos // 8)
+            if slot is None or slot.bytes[7 - pos % 8] is _INVALID:
                 return f"stack byte fp{off + i:+d} is not initialised"
         return ""
 
@@ -236,6 +252,3 @@ class StackState:
     def iter_slots(self):
         """Yield ``(slot_index, slot)`` pairs for pruning comparison."""
         return self._slots.items()
-
-    def get_slot(self, index: int) -> _Slot | None:
-        return self._slots.get(index)

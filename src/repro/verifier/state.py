@@ -20,7 +20,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.verifier.tnum import TNUM_UNKNOWN, Tnum, tnum_const, tnum_range
+from repro.verifier.tnum import (
+    TNUM_UNKNOWN,
+    Tnum,
+    _const,
+    _intersect,
+    _range,
+    tnum_const,
+)
 
 __all__ = ["RegType", "RegState", "U64_MAX", "S64_MAX", "S64_MIN"]
 
@@ -28,6 +35,8 @@ U64_MAX = (1 << 64) - 1
 U32_MAX = (1 << 32) - 1
 S64_MAX = (1 << 63) - 1
 S64_MIN = -(1 << 63)
+_2_63 = 1 << 63
+_2_64 = 1 << 64
 
 
 def u64(value: int) -> int:
@@ -57,20 +66,24 @@ class RegType(enum.Enum):
     PTR_TO_MEM_OR_NULL = "ptr_to_mem_or_null"
 
 
-#: Types that may compare equal to NULL at runtime and therefore
-#: require a null check before dereference.
-MAYBE_NULL_TYPES = frozenset(
-    {RegType.PTR_TO_MAP_VALUE_OR_NULL, RegType.PTR_TO_MEM_OR_NULL}
-)
-
 #: What a maybe-null type becomes once proven non-null.
 NULL_RESOLVES_TO = {
     RegType.PTR_TO_MAP_VALUE_OR_NULL: RegType.PTR_TO_MAP_VALUE,
     RegType.PTR_TO_MEM_OR_NULL: RegType.PTR_TO_MEM,
 }
 
-#: Pointer types (everything except NOT_INIT and SCALAR).
-POINTER_TYPES = frozenset(RegType) - {RegType.NOT_INIT, RegType.SCALAR}
+#: Members bound once for the per-instruction predicates below: on
+#: 3.11, looking an Enum member up on its class costs ~0.2 us, and a
+#: plain ``Enum`` hashes in Python, so a frozenset membership test
+#: costs a Python-level ``__hash__`` call.  Identity tests need
+#: neither.
+_NOT_INIT = RegType.NOT_INIT
+_SCALAR = RegType.SCALAR
+_MAP_VALUE_OR_NULL = RegType.PTR_TO_MAP_VALUE_OR_NULL
+_MEM_OR_NULL = RegType.PTR_TO_MEM_OR_NULL
+_PACKET = RegType.PTR_TO_PACKET
+_PACKET_META = RegType.PTR_TO_PACKET_META
+_PACKET_END = RegType.PTR_TO_PACKET_END
 
 
 @dataclass
@@ -107,61 +120,73 @@ class RegState:
     shared: bool = field(default=False, init=False, compare=False, repr=False)
 
     # --- constructors -----------------------------------------------------
+    #
+    # The per-instruction constructors fill a fresh record from
+    # :data:`_FRESH` (the generated ``__init__``'s defaults, in field
+    # order) instead of calling that ``__init__``: same attributes,
+    # same dict order, one Python frame fewer per register built.
 
     @classmethod
     def not_init(cls) -> "RegState":
-        return cls(type=RegType.NOT_INIT)
-
-    @classmethod
-    def unknown_scalar(cls, id: int = 0) -> "RegState":
-        return cls(type=RegType.SCALAR, id=id)
-
-    @classmethod
-    def const_scalar(cls, value: int) -> "RegState":
-        value = u64(value)
-        reg = cls(
-            type=RegType.SCALAR,
-            var_off=tnum_const(value),
-            umin=value,
-            umax=value,
-            smin=s64(value),
-            smax=s64(value),
-        )
+        reg = object.__new__(cls)
+        reg.__dict__.update(_FRESH)
         return reg
 
     @classmethod
-    def pointer(cls, reg_type: RegType, **kwargs) -> "RegState":
-        reg = cls(
-            type=reg_type,
-            var_off=tnum_const(0),
-            smin=0,
-            smax=0,
-            umin=0,
-            umax=0,
-            **kwargs,
-        )
+    def unknown_scalar(cls, id: int = 0) -> "RegState":
+        reg = object.__new__(cls)
+        d = reg.__dict__
+        d.update(_FRESH)
+        d["type"] = _SCALAR
+        d["id"] = id
+        return reg
+
+    @classmethod
+    def const_scalar(cls, value: int) -> "RegState":
+        value &= U64_MAX
+        signed = value - _2_64 if value >= _2_63 else value
+        reg = object.__new__(cls)
+        d = reg.__dict__
+        d.update(_FRESH)
+        d["type"] = _SCALAR
+        d["var_off"] = _const(value)
+        d["smin"] = d["smax"] = signed
+        d["umin"] = d["umax"] = value
+        return reg
+
+    @classmethod
+    def pointer(cls, reg_type: RegType) -> "RegState":
+        reg = object.__new__(cls)
+        d = reg.__dict__
+        d.update(_FRESH)
+        d["type"] = reg_type
+        d["var_off"] = _const(0)
+        d["smin"] = d["smax"] = d["umin"] = d["umax"] = 0
         return reg
 
     # --- predicates ----------------------------------------------------------
 
     def is_pointer(self) -> bool:
-        return self.type in POINTER_TYPES
+        reg_type = self.type
+        return reg_type is not _SCALAR and reg_type is not _NOT_INIT
 
     def is_scalar(self) -> bool:
-        return self.type == RegType.SCALAR
+        return self.type is _SCALAR
 
     def is_maybe_null(self) -> bool:
-        return self.type in MAYBE_NULL_TYPES
+        reg_type = self.type
+        return reg_type is _MAP_VALUE_OR_NULL or reg_type is _MEM_OR_NULL
 
     def is_const(self) -> bool:
         """A scalar with one possible value."""
-        return self.is_scalar() and self.var_off.is_const()
+        return self.type is _SCALAR and self.var_off.mask == 0
 
     def const_value(self) -> int:
         return self.var_off.value
 
     def is_pkt_pointer(self) -> bool:
-        return self.type in (RegType.PTR_TO_PACKET, RegType.PTR_TO_PACKET_META)
+        reg_type = self.type
+        return reg_type is _PACKET or reg_type is _PACKET_META
 
     # --- mutation helpers ------------------------------------------------------
 
@@ -208,52 +233,74 @@ class RegState:
 
     # --- bounds synchronisation ---------------------------------------------------
 
-    def _update_bounds(self) -> None:
-        """tnum -> interval bounds (``__update_reg64_bounds``)."""
-        sign_bit = 1 << 63
-        self.smin = max(
-            self.smin, s64(self.var_off.value | (self.var_off.mask & sign_bit))
-        )
-        self.smax = min(
-            self.smax, s64(self.var_off.value | (self.var_off.mask & ~sign_bit))
-        )
-        self.umin = max(self.umin, self.var_off.value)
-        self.umax = min(self.umax, self.var_off.value | self.var_off.mask)
-
-    def _deduce_bounds(self) -> None:
-        """signed <-> unsigned cross-derivation (``__reg64_deduce_bounds``)."""
-        if self.smin >= 0 or self.smax < 0:
-            # Sign is known: signed and unsigned ranges agree as u64.
-            self.umin = max(self.umin, u64(self.smin))
-            self.umax = min(self.umax, u64(self.smax))
-            self.smin = s64(self.umin)
-            self.smax = s64(self.umax)
-            return
-        if s64(self.umax) >= 0:
-            # Whole unsigned range is non-negative as signed; the old
-            # smax (>= 0 here) is still a valid upper bound, so keep
-            # whichever is tighter (kernel: min_t(u64, smax, umax)).
-            self.smin = max(self.smin, self.umin)
-            self.smax = min(self.smax, s64(self.umax))
-            self.umax = u64(self.smax)
-        elif s64(self.umin) < 0:
-            # Whole unsigned range is negative as signed; the old smin
-            # (< 0 here) still bounds from below (kernel: max_t(u64,
-            # smin, umin) — comparing as u64 picks the tighter one).
-            self.smin = max(self.smin, s64(self.umin))
-            self.smax = min(self.smax, s64(self.umax))
-            self.umin = u64(self.smin)
-
-    def _bound_offset(self) -> None:
-        """interval bounds -> tnum (``__reg_bound_offset``)."""
-        self.var_off = self.var_off.intersect(tnum_range(self.umin, self.umax))
-
     def sync_bounds(self) -> None:
-        """Make tnum and interval bounds mutually consistent."""
-        self._update_bounds()
-        self._deduce_bounds()
-        self._bound_offset()
-        self._update_bounds()
+        """Make tnum and interval bounds mutually consistent.
+
+        A port of the kernel's ``reg_bounds_sync``:
+        ``__update_reg64_bounds``, ``__reg64_deduce_bounds``,
+        ``__reg_bound_offset``, then ``__update_reg64_bounds`` again.
+        It runs after every scalar ALU op, so the four steps work on
+        locals with ``s64``/``u64`` spelled out, and the tnum kernels
+        are called directly: each helper call would be one more traced
+        frame under the coverage tracer.
+        """
+        value = self.var_off.value
+        mask = self.var_off.mask
+        smin, smax, umin, umax = self.smin, self.smax, self.umin, self.umax
+
+        # __update_reg64_bounds: tnum -> interval bounds.
+        low = value | (mask & _2_63)
+        high = value | (mask & ~_2_63)
+        smin = max(smin, low - _2_64 if low >= _2_63 else low)
+        smax = min(smax, high - _2_64 if high >= _2_63 else high)
+        umin = max(umin, value)
+        umax = min(umax, value | mask)
+
+        # __reg64_deduce_bounds: signed <-> unsigned cross-derivation.
+        if smin >= 0 or smax < 0:
+            # Sign is known: signed and unsigned ranges agree as u64.
+            umin = max(umin, smin & U64_MAX)
+            umax = min(umax, smax & U64_MAX)
+            smin = umin & U64_MAX
+            smin = smin - _2_64 if smin >= _2_63 else smin
+            smax = umax & U64_MAX
+            smax = smax - _2_64 if smax >= _2_63 else smax
+        else:
+            umax_s = umax & U64_MAX
+            umax_s = umax_s - _2_64 if umax_s >= _2_63 else umax_s
+            umin_s = umin & U64_MAX
+            umin_s = umin_s - _2_64 if umin_s >= _2_63 else umin_s
+            if umax_s >= 0:
+                # Whole unsigned range is non-negative as signed; the
+                # old smax (>= 0 here) is still a valid upper bound, so
+                # keep whichever is tighter (kernel: min_t(u64, smax,
+                # umax)).
+                smin = max(smin, umin)
+                smax = min(smax, umax_s)
+                umax = smax & U64_MAX
+            elif umin_s < 0:
+                # Whole unsigned range is negative as signed; the old
+                # smin (< 0 here) still bounds from below (kernel:
+                # max_t(u64, smin, umin) — comparing as u64 picks the
+                # tighter one).
+                smin = max(smin, umin_s)
+                smax = min(smax, umax_s)
+                umin = smin & U64_MAX
+
+        # __reg_bound_offset: interval bounds -> tnum.
+        bound = _range(umin & U64_MAX, umax & U64_MAX)
+        var_off = _intersect(value, mask, bound.value, bound.mask)
+        value = var_off.value
+        mask = var_off.mask
+
+        # __update_reg64_bounds again, over the refined tnum.
+        low = value | (mask & _2_63)
+        high = value | (mask & ~_2_63)
+        self.var_off = var_off
+        self.smin = max(smin, low - _2_64 if low >= _2_63 else low)
+        self.smax = min(smax, high - _2_64 if high >= _2_63 else high)
+        self.umin = max(umin, value)
+        self.umax = min(umax, value | mask)
 
     def is_bounds_broken(self) -> bool:
         """Contradictory bounds indicate an impossible (dead) path."""
@@ -296,9 +343,13 @@ class RegState:
         return f"{self.type.value}{suffix}"
 
 
+#: A fresh record's fields, in the generated ``__init__``'s order.
+_FRESH = dict(RegState().__dict__)
+
+
 def regs_equal_scalar_range(old: RegState, new: RegState) -> bool:
     """True when ``new``'s scalar range is within ``old``'s (for pruning)."""
-    if not (old.is_scalar() and new.is_scalar()):
+    if old.type is not _SCALAR or new.type is not _SCALAR:
         return False
     if not (
         old.umin <= new.umin

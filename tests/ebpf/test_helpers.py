@@ -31,6 +31,16 @@ class TestRegistry:
         assert int(HelperId.SNPRINTF) not in ids
         assert int(HelperId.MAP_LOOKUP_ELEM) in ids
 
+    def test_registries_filter_private_copies(self):
+        """The helper table is built once per process; each kernel's
+        version gating filters its own copy, never the shared one."""
+        old = Kernel(PROFILES["v5.15"]()).helpers
+        new = Kernel(PROFILES["bpf-next"]()).helpers
+        assert int(HelperId.LOOP) not in old.ids()
+        assert int(HelperId.LOOP) in new.ids()
+        lookup = int(HelperId.MAP_LOOKUP_ELEM)
+        assert old.get(lookup) is new.get(lookup)
+
     def test_prog_type_filtering(self, patched_kernel):
         socket_ids = patched_kernel.helpers.ids_for_prog_type("socket_filter")
         kprobe_ids = patched_kernel.helpers.ids_for_prog_type("kprobe")

@@ -7,7 +7,14 @@ from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
 from repro.ebpf import asm
-from repro.ebpf.insn import Insn, decode_program, encode_program, ld_imm64_pair
+from repro.ebpf.insn import (
+    OP_CLASS,
+    OP_IS_OFF_JMP,
+    Insn,
+    decode_program,
+    encode_program,
+    ld_imm64_pair,
+)
 from repro.ebpf.opcodes import (
     AluOp,
     InsnClass,
@@ -99,6 +106,34 @@ class TestClassification:
 
     def test_filler_is_not_ld_imm64(self):
         assert not Insn(opcode=0).is_ld_imm64()
+
+    def test_opcode_tables_match_field_definitions(self):
+        """The per-opcode tables the verifier indexes directly agree
+        with the enum definitions of every predicate."""
+        for opcode in range(256):
+            insn = Insn(opcode=opcode)
+            cls = InsnClass(opcode & 0x07)
+            mode = Mode(opcode & 0xE0)
+            op = JmpOp(opcode & 0xF0)
+            jmp = cls in (InsnClass.JMP, InsnClass.JMP32)
+            call = cls == InsnClass.JMP and op == JmpOp.CALL
+            exit_ = cls == InsnClass.JMP and op == JmpOp.EXIT
+            expected = (
+                cls,
+                jmp and not call and not exit_,
+                cls == InsnClass.LDX and mode in (Mode.MEM, Mode.MEMSX),
+                cls in (InsnClass.ST, InsnClass.STX) and mode == Mode.MEM,
+                cls == InsnClass.STX and mode == Mode.ATOMIC,
+                cls == InsnClass.JMP and op == JmpOp.JA,
+            )
+            assert (
+                OP_CLASS[opcode],
+                OP_IS_OFF_JMP[opcode],
+                insn.is_memory_load(),
+                insn.is_memory_store(),
+                insn.is_atomic(),
+                insn.is_uncond_jmp(),
+            ) == expected, hex(opcode)
 
 
 class TestCodec:

@@ -18,6 +18,7 @@ from repro.fuzz.campaign import make_generator
 from repro.fuzz.corpus import Corpus, MapSpec, specs_of
 from repro.fuzz.coverage import CoverageReentryError, VerifierCoverage
 from repro.fuzz.rng import FuzzRng
+from repro.verifier.tnum import tnum_memo_clear
 from repro.fuzz.structure import ExecutionPlan, GeneratedProgram
 
 
@@ -81,6 +82,40 @@ def make_coverage(monkeypatch):
 
 
 TRACERS = ("ctrace", "settrace")
+
+#: Python-level calls into code outside the four traced verifier
+#: modules while the parity batch loads.  On 3.11 a coverage tracer
+#: makes each one a traced frame (~0.3-0.5 us against ~0.06 us
+#: untraced), so a helper call on a per-instruction path shows up here
+#: long before it shows up in a benchmark.  The count is deterministic
+#: (the tnum memo is cleared first).  If a change raises it on purpose,
+#: rerun ``pytest tests/fuzz/test_corpus_coverage.py -k call_budget``,
+#: copy the count from the failure message here, and say why in the
+#: commit; lower it when a change cuts calls.  (Before the opcode
+#: tables and the inlined register/bounds helpers, this batch made
+#: 29,272 calls.)
+OUT_OF_SCOPE_CALL_BUDGET = 6065
+
+
+@pytest.fixture(scope="module")
+def parity_programs() -> list[BpfProgram]:
+    """60 generated ``bvf`` programs (``FuzzRng(0)``, bpf-next)."""
+    generator = make_generator("bvf", None, FuzzRng(0))
+    programs = []
+    for i in range(60):
+        gp = generator.generate(Kernel(PROFILES["bpf-next"]()))
+        programs.append(BpfProgram(
+            insns=list(gp.insns), prog_type=gp.prog_type,
+            name=f"parity_{i}", offload_dev=gp.offload_dev,
+        ))
+    return programs
+
+
+def _load_quietly(kernel: Kernel, prog: BpfProgram) -> None:
+    try:
+        kernel.prog_load(prog, sanitize=True)
+    except (VerifierReject, BpfError):
+        pass
 
 
 class TestCoverage:
@@ -151,29 +186,80 @@ class TestCoverage:
         assert cov.edge_count > 0
         assert cov.last_new == cov.edge_count
 
-    def test_ctrace_settrace_parity(self, make_coverage):
-        """The C tracer reports bit-identical edges to settrace."""
+    def test_ctrace_settrace_parity(self, make_coverage, parity_programs):
+        """The C tracer reports bit-identical edges to settrace in every
+        window: ``last_new`` and the corpus read windows, not only the
+        cumulative set."""
         fast = make_coverage("ctrace")
         slow = make_coverage("settrace")
         assert (fast.backend_name, slow.backend_name) == TRACERS
-        generator = make_generator("bvf", None, FuzzRng(0))
-        programs = []
-        for i in range(60):
-            gp = generator.generate(Kernel(PROFILES["bpf-next"]()))
-            programs.append(BpfProgram(
-                insns=list(gp.insns), prog_type=gp.prog_type,
-                name=f"parity_{i}", offload_dev=gp.offload_dev,
-            ))
+        windows = {}
         for cov in (fast, slow):
-            for prog in programs:
+            windows[cov] = []
+            for prog in parity_programs:
                 kernel = Kernel(PROFILES["bpf-next"]())
-                with cov.collect():
-                    try:
-                        kernel.prog_load(prog, sanitize=True)
-                    except (VerifierReject, BpfError):
-                        pass
+                with cov.collect() as window:
+                    _load_quietly(kernel, prog)
+                windows[cov].append((frozenset(window), cov.last_new))
         assert fast.edge_count > 500
+        assert windows[fast] == windows[slow]
         assert fast.snapshot_edges() == slow.snapshot_edges()
+
+    def test_rescope_reclassifies_cached_code(self, make_coverage,
+                                              monkeypatch):
+        """ctrace caches each code object's classification in its
+        ``co_extra`` slot; a window with other basenames must
+        reclassify code already cached under the old scope."""
+        insns = [
+            asm.st_mem(asm.Size.DW, Reg.R10, -8, 1),
+            asm.ldx_mem(asm.Size.DW, Reg.R0, Reg.R10, -8),
+            asm.exit_insn(),
+        ]
+        decision = make_coverage("ctrace")
+        self._verify_once(decision, insns)
+        monkeypatch.setattr(coverage_mod, "_SCOPE_BASENAMES",
+                            frozenset({"state.py"}))
+        fast = make_coverage("ctrace")
+        slow = make_coverage("settrace")
+        for cov in (fast, slow):
+            self._verify_once(cov, insns)
+        assert fast.edge_count > 0
+        assert fast.snapshot_edges() == slow.snapshot_edges()
+        assert not fast.edges & decision.edges
+        monkeypatch.undo()
+        again = make_coverage("ctrace")
+        self._verify_once(again, insns)
+        assert again.snapshot_edges() == decision.snapshot_edges()
+
+    def test_out_of_scope_call_budget(self, parity_programs):
+        """Verifying the parity batch makes at most
+        :data:`OUT_OF_SCOPE_CALL_BUDGET` calls outside the traced
+        modules (counted with a profile hook, which sees the same call
+        events as the coverage tracer)."""
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and not coverage_mod._in_scope(
+                    frame.f_code.co_filename):
+                calls += 1
+
+        tnum_memo_clear()  # a memo miss calls into tnum.py
+        cov = VerifierCoverage()
+        for prog in parity_programs:
+            kernel = Kernel(PROFILES["bpf-next"]())
+            with cov.collect():
+                sys.setprofile(count)
+                try:
+                    kernel.prog_load(prog, sanitize=True)
+                except (VerifierReject, BpfError):
+                    pass
+                finally:
+                    sys.setprofile(None)
+        assert calls <= OUT_OF_SCOPE_CALL_BUDGET, (
+            f"{calls} out-of-scope calls; the committed budget is "
+            f"{OUT_OF_SCOPE_CALL_BUDGET}"
+        )
 
     @pytest.mark.parametrize("tracer", TRACERS)
     def test_window_restores_outer_trace(self, make_coverage, tracer):

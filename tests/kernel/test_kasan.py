@@ -44,6 +44,24 @@ class TestAllocator:
         allocs = [mem.kmalloc(128) for _ in range(16)]
         assert len({a.start for a in allocs}) == 16
 
+    def test_grown_arena_matches_preallocated(self):
+        """Growing on demand is invisible: every address in_arena()
+        admits holds the bytes a 1 MiB up-front arena would, including
+        raw writes into the last redzone before a later allocation."""
+        grown, fixed = KernelMemory(arena_size=16), KernelMemory(1 << 20)
+        for size in (8, 200, 1, 5000, 64, 30000, 3):
+            for mem in (grown, fixed):
+                alloc = mem.kmalloc(size)
+                # Dirty the redzone at the very end of the arena.
+                limit = KERNEL_BASE + mem._brk + 16
+                mem.raw_write(limit - 8, 8, 0x0102030405060708 + size)
+                assert mem.in_arena(limit - 1) and not mem.in_arena(limit)
+                mem.raw_write(alloc.start, 1, size & 0xFF)
+        assert grown._brk == fixed._brk
+        span = grown._brk + 16
+        assert len(grown._arena) >= span
+        assert grown._arena[:span] == fixed._arena[:span]
+
     def test_oversized_kmalloc_fails(self):
         mem = KernelMemory()
         with pytest.raises(MemoryError):

@@ -275,7 +275,9 @@ def _build_reg(spec) -> RegState:
         lo, hi = sorted(spec[1:])
         return RegState(type=RegType.SCALAR, var_off=tnum_range(lo, hi),
                         umin=lo, umax=hi, smin=lo, smax=hi)
-    return RegState.pointer(spec[1], off=spec[2])
+    reg = RegState.pointer(spec[1])
+    reg.off = spec[2]
+    return reg
 
 
 def _build_state(spec) -> VerifierState:
